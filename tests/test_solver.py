@@ -179,6 +179,25 @@ def test_eigen_power_log_family(families):
     assert res.u.values.min() >= -1e-10 * sup_norm(res.u)
 
 
+@pytest.mark.parametrize(
+    "s, iterations, lam",
+    [
+        # converges only through its crease slides (42 of them)
+        (0.4, 110, 12.337500894132184),
+        # takes the Barzilai-Borwein fallback to the natural step once
+        (0.25, 31, 11.560093644112674),
+    ],
+)
+def test_eigen_descent_paths_pinned(families, s, iterations, lam):
+    res = solve_eigen(
+        Grid.build([0.0, 1.0], 128), families["piecewise2_3"], OperatorParams(s=s),
+        1.0, SolveOptions(tol=2e-6, max_iter=3000),
+    )
+    assert res.iterations == iterations
+    assert res.lam == pytest.approx(lam, rel=1e-12)
+    assert res.residual <= 2e-6
+
+
 def test_eigen_rejects_bad_level():
     G = make_power(2.0)
     grid = Grid.build([0.0, 1.0], 16)
