@@ -8,15 +8,14 @@ Commands (chosen by the ``command`` field of the JSON config):
   verify      run every registered invariant check
 
 Exit codes: 0 success, 2 malformed configuration, 3 solver non-convergence,
-4 failed verification checks.  For a fixed config and seed all artifacts
-are byte-identical run to run.
+4 failed verification checks.  For a fixed config, seed and BLAS thread
+count all artifacts are byte-identical run to run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -212,12 +211,13 @@ def _solve_once(cfg, grid):
         max_iter=cfg["max_iter"],
         stagnation_tol=cfg["stagnation_tol"],
     )
-    return yf, params, solve_eigen(grid, yf, params, cfg["mu"], opts)
+    return yf, solve_eigen(grid, yf, params, cfg["mu"], opts)
 
 
-def _run_solve(cfg, refine_levels: int = 0) -> dict[str, str]:
+def _run_solve(cfg, refine_levels: int = 0):
+    """Solve and write the eigen artifacts; returns (artifacts, yf, result)."""
     grid = _build_grid(cfg)
-    yf, params, res = _solve_once(cfg, grid)
+    yf, res = _solve_once(cfg, grid)
     artifacts = {
         "eigen_result.json": _json(
             {
@@ -246,12 +246,12 @@ def _run_solve(cfg, refine_levels: int = 0) -> dict[str, str]:
             )
             g = refine(g)
             if len(rows) <= refine_levels:
-                _, _, r = _solve_once(cfg, g)
+                _, r = _solve_once(cfg, g)
         artifacts["refinement_table.csv"] = _csv(
             ["nodes", "h", "lambda", "mu", "residual", "sup_norm", "holder_half_s"],
             rows,
         )
-    return artifacts
+    return artifacts, yf, res
 
 
 def _run_semilinear(cfg) -> dict[str, str]:
@@ -274,12 +274,9 @@ def _run_semilinear(cfg) -> dict[str, str]:
 
 
 def _run_degiorgi(cfg) -> dict[str, str]:
-    grid = _build_grid(cfg)
-    yf, params, res = _solve_once(cfg, grid)
-    scaled = degiorgi_rescale(res.u)
-    trace = degiorgi_trace(scaled, yf, cfg["degiorgi_depth"])
+    artifacts, yf, res = _run_solve(cfg)
+    trace = degiorgi_trace(degiorgi_rescale(res.u), yf, cfg["degiorgi_depth"])
     fit = check_recursive_bound(trace)
-    artifacts = _run_solve(cfg)
     artifacts["trace.csv"] = _csv(
         ["k", "a_k"], [[float(k), a] for k, a in zip(trace.levels, trace.a)]
     )
@@ -334,7 +331,7 @@ def run_command(cfg: dict, refine_levels: int = 0) -> tuple[dict[str, str], int]
         if cmd == "young":
             return _run_young(cfg), 0
         if cmd == "solve":
-            return _run_solve(cfg, refine_levels), 0
+            return _run_solve(cfg, refine_levels)[0], 0
         if cmd == "semilinear":
             return _run_semilinear(cfg), 0
         if cmd == "degiorgi":
@@ -360,11 +357,6 @@ def main(argv=None) -> int:
         help="rerun the solve on this many successive grid refinements",
     )
     args = parser.parse_args(argv)
-
-    threads = os.environ.get("FGLAP_NUM_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
 
     try:
         raw = json.loads(Path(args.config).read_text())

@@ -30,7 +30,6 @@ thread counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -58,18 +57,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OperatorParams:
-    """Nonlocal-operator parameters.
-
-    ``truncation_radius`` is retained for interface compatibility and, when
-    set, must be at least twice the domain diameter.  The exterior ray
-    integrals are evaluated in closed form all the way to infinity, so the
-    radius never truncates anything and the integration remainder is zero.
-    ``pv_policy`` documents how the singular diagonal is handled.
-    """
+    """Nonlocal-operator parameters: the smoothness order s and the angular
+    Gauss order of the 2d exterior ray integrals."""
 
     s: float
-    truncation_radius: Optional[float] = None
-    pv_policy: str = "symmetric-pairs"
     theta_order: int = 16
 
     def __post_init__(self):
@@ -86,11 +77,6 @@ class _Kernel:
         self.grid = grid
         self.params = params
         s, n, h = params.s, grid.dim, grid.h
-        if params.truncation_radius is not None:
-            if params.truncation_radius < 2.0 * grid.diameter:
-                raise ValueError(
-                    "truncation radius must be at least twice the domain diameter"
-                )
         pts = grid.nodes
         diff = pts[:, None, :] - pts[None, :, :]
         D = np.sqrt(np.sum(diff * diff, axis=2))
@@ -111,6 +97,10 @@ class _Kernel:
         else:
             self.ray_dist, self.ray_w = _angular_rays(grid, params.theta_order)
         self.ray_scale = self.ray_dist ** (-s)
+
+    def quotients(self, v: np.ndarray) -> np.ndarray:
+        """Pair quotients (v_i - v_j) |x_i - x_j|**(-s), zero on the diagonal."""
+        return (v[:, None] - v[None, :]) * self.qs
 
 
 def _angular_rays(grid: Grid, order: int):
@@ -154,7 +144,7 @@ _KERNELS: dict[tuple, _Kernel] = {}
 
 
 def get_kernel(grid: Grid, params: OperatorParams) -> _Kernel:
-    key = (grid.key, params.s, params.truncation_radius, params.theta_order)
+    key = (grid.key, params.s, params.theta_order)
     if key not in _KERNELS:
         _KERNELS[key] = _Kernel(grid, params)
     return _KERNELS[key]
@@ -231,8 +221,7 @@ def apply_operator(
     """
     kern = get_kernel(u.grid, params)
     v = u.values
-    quot = (v[:, None] - v[None, :]) * kern.qs
-    interior = np.sum(yf.slope_odd(quot) * kern.wop, axis=1)
+    interior = np.sum(yf.slope_odd(kern.quotients(v)) * kern.wop, axis=1)
     return interior + _exterior_operator(v, yf, kern)
 
 

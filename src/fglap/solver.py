@@ -1,18 +1,22 @@
 """Constrained eigenproblem and semilinear solves, plus truncation diagnostics.
 
-The eigen solver minimizes the nonlocal modular energy over the modular
-sphere { int G(|u|) = mu } by projected descent: a Barzilai-Borwein trial
-step on the scaled residual, backtracked until the energy decreases, then
-renormalization onto the sphere.  The reported eigenvalue is the ratio of
-the weak pairing <A u, u> (the double sum of g(quotient) against quotients
-of u) to the zero-order pairing sum h**n g(u) u, so at convergence the
-discrete Euler-Lagrange system  2 * operator(u) = lambda * g(u)  holds up
-to the residual tolerance.  Residuals are reported in operator units, i.e.
-the nodal gradient divided by the cell weight.
+The eigen solve and the fixed-source solve share one descent core:
+Barzilai-Borwein trial steps, Armijo backtracking through a projection, and
+a damped Newton polish once the line search stalls at the floating-point
+floor.  The eigen solver minimizes the nonlocal modular energy over the
+modular sphere { int G(|u|) = mu }, projecting by renormalization onto the
+sphere and sliding along density-jump creases when plain descent is
+blocked.  The reported eigenvalue is the ratio of the weak pairing <A u, u>
+(the double sum of g(quotient) against quotients of u) to the zero-order
+pairing sum h**n g(u) u, so at convergence the discrete Euler-Lagrange
+system  2 * operator(u) = lambda * g(u)  holds up to the residual tolerance.
+Residuals are reported in operator units, i.e. the nodal gradient divided
+by the cell weight.
 
-The semilinear solver handles a fixed source by direct convex descent and
-an autonomous right-hand side f(u) by damped Picard iteration with a scalar
-ray rescaling each sweep, falling back on non-convergence reporting.
+The semilinear solver handles a fixed source by unconstrained convex
+descent in the same core, and an autonomous right-hand side f(u) by damped
+Picard iteration with a scalar ray rescaling each sweep, falling back on
+non-convergence reporting.
 
 The truncation diagnostic tracks the modular masses a_k of
 w_k = (u - (1 - 2**-k))_+, verifies the level-set inclusions and the
@@ -24,12 +28,18 @@ threshold drives a_k to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .grids import DiscreteFunction, Grid
-from .operator import OperatorParams, apply_operator, energy, get_kernel
+from .operator import (
+    OperatorParams,
+    _exterior_operator,
+    apply_operator,
+    energy,
+    get_kernel,
+)
 from .young import (
     WeightedSamples,
     YoungFunction,
@@ -88,11 +98,17 @@ class SolveOptions:
 
     tol: float = 1e-6
     max_iter: int = 20000
-    armijo: float = 1e-4
-    ls_max: int = 60
-    damping: float = 0.5
-    max_outer: int = 200
     stagnation_tol: Optional[float] = None
+
+
+# Armijo sufficient-decrease fraction, backtracking halvings per line search,
+# and Newton polish steps of the descent core
+_ARMIJO = 1e-4
+_LS_MAX = 60
+_POLISH_STEPS = 40
+# averaging weight and sweep budget of the Picard iteration
+_PICARD_DAMPING = 0.5
+_MAX_SWEEPS = 200
 
 
 @dataclass
@@ -144,16 +160,13 @@ class RecursionFitReport:
 
 @dataclass(frozen=True)
 class SemilinearRHS:
-    """Right-hand side f = F' for a growth function F with its index bounds."""
+    """Right-hand side f = F' for a growth function F."""
 
     F: YoungFunction
-    eta_minus: float
-    eta_plus: float
-    subcritical: Optional[bool] = None
 
     @staticmethod
-    def from_young(F: YoungFunction, subcritical: Optional[bool] = None) -> "SemilinearRHS":
-        return SemilinearRHS(F, F.p_minus, F.p_plus, subcritical)
+    def from_young(F: YoungFunction) -> "SemilinearRHS":
+        return SemilinearRHS(F)
 
     def f(self, t):
         return self.F.slope_odd(t)
@@ -259,7 +272,7 @@ def _energy_hessian(
     with np.errstate(divide="ignore"):
         wfull = hn * kern.wop / np.where(kern.qs > 0, kern.qs, 1.0)
     np.fill_diagonal(wfull, 0.0)
-    quot = (u[:, None] - u[None, :]) * kern.qs
+    quot = kern.quotients(u)
     aq = np.abs(quot)
     dq = 1e-7 * (1.0 + aq)
     gp = (yf.g(aq + dq) - yf.g(np.maximum(aq - dq, 0.0))) / (2.0 * dq)
@@ -274,72 +287,6 @@ def _energy_hessian(
     )
     H[np.diag_indices_from(H)] += ext_diag
     return H
-
-
-def _newton_polish(
-    grid: Grid,
-    yf: YoungFunction,
-    params: OperatorParams,
-    u: np.ndarray,
-    mu: float,
-    tol: float,
-    max_steps: int = 40,
-):
-    """Damped projected Newton steps on the constrained stationarity system.
-
-    Energy-comparison line searches cannot resolve residuals below the
-    square root of machine precision; the Newton correction can.  Steps are
-    accepted on residual decrease.  Returns (residual, u, lam) for the best
-    iterate.
-    """
-    hn = grid.node_weight
-
-    def residual_of(v: np.ndarray):
-        A2 = 2.0 * apply_operator(DiscreteFunction(grid, v), yf, params)
-        gv = yf.slope_odd(v)
-        lam = float(np.dot(A2, v) / np.dot(gv, v))
-        r = A2 - lam * gv
-        res = float(np.max(np.abs(r)))
-        if res > tol:
-            res = _subdifferential_residual(grid, yf, params, v, lam)
-        return A2, gv, lam, r, res
-
-    A2, gv, lam, r, res = residual_of(u)
-    best = (res, u, lam)
-    for _ in range(max_steps):
-        if res <= tol:
-            break
-        H = _energy_hessian(grid, yf, params, u)
-        bv = hn * gv
-        n = len(u)
-        K = np.zeros((n + 1, n + 1))
-        K[:n, :n] = H
-        K[:n, n] = bv
-        K[n, :n] = bv
-        rhs = np.concatenate([-hn * r, [0.0]])
-        try:
-            sol = np.linalg.solve(K, rhs)
-        except np.linalg.LinAlgError:
-            K[:n, :n] += 1e-10 * np.trace(H) / n * np.eye(n)
-            sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-        delta = sol[:n]
-        damp = 1.0
-        improved = False
-        for _ in range(12):
-            cand = u + damp * delta
-            if np.any(cand != 0.0):
-                cand = cand / _modular_scale(cand, hn, yf, mu)
-                A2c, gvc, lamc, rc, resc = residual_of(cand)
-                if resc < res * (1.0 - 1e-3 * damp):
-                    u, A2, gv, lam, r, res = cand, A2c, gvc, lamc, rc, resc
-                    if res < best[0]:
-                        best = (res, u, lam)
-                    improved = True
-                    break
-            damp *= 0.5
-        if not improved:
-            break
-    return best
 
 
 def _subdifferential_residual(
@@ -360,10 +307,7 @@ def _subdifferential_residual(
     when a minimizer parks quotients on density-jump atoms.
     """
     kern = get_kernel(grid, params)
-    quot = (v[:, None] - v[None, :]) * kern.qs
-    b_lo, b_hi = _slope_bands(yf, quot)
-    from .operator import _exterior_operator
-
+    b_lo, b_hi = _slope_bands(yf, kern.quotients(v))
     ext = _exterior_operator(v, yf, kern)
     a_lo = 2.0 * (np.sum(b_lo * kern.wop, axis=1) + ext)
     a_hi = 2.0 * (np.sum(b_hi * kern.wop, axis=1) + ext)
@@ -386,6 +330,160 @@ def _subdifferential_residual(
     return sup_dist(0.5 * (lo + hi))
 
 
+class _Probe(NamedTuple):
+    """What the descent core needs to know about one iterate.
+
+    ``res`` is the measured stationarity defect and ``defect`` the defect
+    vector that Newton drives to zero; ``grad`` is the objective gradient
+    and ``direction`` the descent direction, all in operator units.
+    ``natural`` is the step taken when no Barzilai-Borwein step is
+    available.  ``normal`` is the normal of the constraint surface and
+    ``lam`` its multiplier, both None for an unconstrained objective.
+    """
+
+    res: float
+    defect: np.ndarray
+    grad: np.ndarray
+    direction: np.ndarray
+    natural: float
+    normal: Optional[np.ndarray] = None
+    lam: Optional[float] = None
+
+
+# maps a candidate onto the feasible set; None when it cannot be projected
+_Projection = Callable[[np.ndarray], Optional[np.ndarray]]
+
+
+def _newton_polish(
+    grid: Grid,
+    yf: YoungFunction,
+    params: OperatorParams,
+    u: np.ndarray,
+    probe: Callable[[np.ndarray], _Probe],
+    project: _Projection,
+    tol: float,
+) -> tuple[np.ndarray, _Probe]:
+    """Damped Newton steps on the stationarity system, the energy Hessian
+    bordered by the constraint normal when there is one.
+
+    Energy-comparison line searches cannot resolve defects below the square
+    root of machine precision; the Newton correction can.  Steps are
+    accepted on decrease of the measured defect, so the last accepted
+    iterate is the best one; it is returned with its probe.
+    """
+    hn = grid.node_weight
+    n = len(u)
+    p = probe(u)
+    for _ in range(_POLISH_STEPS):
+        if p.res <= tol:
+            break
+        H = _energy_hessian(grid, yf, params, u)
+        K, rhs = H, -hn * p.defect
+        if p.normal is not None:
+            bv = hn * p.normal
+            K = np.zeros((n + 1, n + 1))
+            K[:n, :n] = H
+            K[:n, n] = bv
+            K[n, :n] = bv
+            rhs = np.concatenate([rhs, [0.0]])
+        try:
+            delta = np.linalg.solve(K, rhs)[:n]
+        except np.linalg.LinAlgError:
+            K[:n, :n] += 1e-10 * np.trace(H) / n * np.eye(n)
+            delta = np.linalg.lstsq(K, rhs, rcond=None)[0][:n]
+        damp = 1.0
+        for _ in range(12):
+            cand = project(u + damp * delta)
+            if cand is not None:
+                pc = probe(cand)
+                if pc.res < p.res * (1.0 - 1e-3 * damp):
+                    u, p = cand, pc
+                    break
+            damp *= 0.5
+        else:
+            break
+    return u, p
+
+
+def _descend(
+    grid: Grid,
+    yf: YoungFunction,
+    params: OperatorParams,
+    u: np.ndarray,
+    objective: Callable[[np.ndarray], float],
+    project: _Projection,
+    probe: Callable[[np.ndarray], _Probe],
+    opts: SolveOptions,
+    slide: Optional[Callable[[np.ndarray, _Probe], Optional[np.ndarray]]] = None,
+):
+    """The descent core shared by the eigen and source solves.
+
+    Minimizes ``objective`` from the feasible start u: Barzilai-Borwein
+    trial steps along the probe's descent direction (the natural step when
+    the curvature estimate is not positive), halved until the projected
+    candidate passes the Armijo test.  When no step clears the
+    floating-point floor of the objective, ``slide`` may offer another
+    direction from the natural step; otherwise a damped Newton polish ends
+    the descent.  Stops once the measured defect reaches opts.tol.
+
+    Returns (u, probe, iterations, history, stall): the iterate with the
+    smallest measured defect and its probe, the iteration count, the
+    objective after every accepted step, and the defect of the polished
+    iterate when the descent stalled above opts.tol (None otherwise).
+    """
+    hn = grid.node_weight
+
+    def line_search(v, J0, direction, step, floor):
+        slope = hn * float(np.dot(direction, direction))
+        for _ in range(_LS_MAX):
+            cand = project(v - step * direction)
+            if cand is not None:
+                Jc = objective(cand)
+                if Jc <= J0 - _ARMIJO * step * slope:
+                    return (cand, Jc) if step * slope > floor else None
+            step *= 0.5
+        return None
+
+    J = objective(u)
+    p = probe(u)
+    history = [J]
+    best = (u, p)
+    prev = None
+    step = p.natural
+    stall = None
+    it = 0
+    for it in range(1, opts.max_iter + 1):
+        if p.res < best[1].res:
+            best = (u, p)
+        if p.res <= opts.tol:
+            break
+        if prev is not None:
+            ds = u - prev[0]
+            dy = p.direction - prev[1]
+            denom = float(np.dot(ds, dy))
+            step = float(np.dot(ds, ds)) / denom if denom > 0 else p.natural
+        step = float(np.clip(step, 1e-14, 1e14))
+        floor = 1e-15 * max(1.0, abs(J))
+        found = line_search(u, J, p.direction, step, floor)
+        prev = (u, p.direction)
+        if found is None:
+            d2 = slide(u, p) if slide is not None else None
+            if d2 is not None:
+                found = line_search(u, J, d2, p.natural, floor)
+                prev = None  # the direction family changed
+            if found is None:
+                polished = _newton_polish(grid, yf, params, u, probe, project, opts.tol)
+                if polished[1].res < best[1].res:
+                    best = polished
+                if polished[1].res > opts.tol:
+                    stall = polished[1].res
+                break
+        u, J = found
+        history.append(J)
+        p = probe(u)
+    return best[0], best[1], it, history, stall
+
+
 def solve_eigen(
     grid: Grid,
     yf: YoungFunction,
@@ -396,13 +494,12 @@ def solve_eigen(
 ) -> EigenResult:
     """First eigenpair of the modular-constrained energy minimization.
 
-    Projected descent on { int G(|u|) = mu }: Barzilai-Borwein trial steps
-    on the operator-unit residual, Armijo backtracking against the energy,
-    renormalization after every step.  When plain descent is blocked the
-    iterate slides along active density-jump creases and finishes with a
-    damped Newton polish.  Convergence is reached when the stationarity
-    defect (sup |2 A(u) - lambda g(u)|, interval-valued at jump atoms)
-    drops below opts.tol.
+    Runs the descent core on { int G(|u|) = mu }: the energy is the
+    objective, renormalization onto the sphere the projection, and the
+    iterate slides along active density-jump creases when plain descent is
+    blocked.  Convergence is reached when the stationarity defect
+    (sup |2 A(u) - lambda g(u)|, interval-valued at jump atoms) drops below
+    opts.tol.
     """
     if not mu > 0:
         raise ValueError("modular level mu must be positive")
@@ -412,42 +509,35 @@ def solve_eigen(
 
     kern = get_kernel(grid, params)
 
-    def residual_parts(v: np.ndarray):
+    def objective(v: np.ndarray) -> float:
+        return energy(DiscreteFunction(grid, v), yf, params)
+
+    def project(v: np.ndarray) -> Optional[np.ndarray]:
+        if not np.any(v != 0.0):
+            return None
+        return v / _modular_scale(v, hn, yf, mu)
+
+    def probe(v: np.ndarray) -> _Probe:
         A2 = 2.0 * apply_operator(DiscreteFunction(grid, v), yf, params)
         gv = yf.slope_odd(v)
         lam = float(np.dot(A2, v) / np.dot(gv, v))
         r = A2 - lam * gv
+        res = float(np.max(np.abs(r)))
+        if res > opts.tol:
+            # minimizers may park pair quotients on density-jump atoms, where
+            # only the subdifferential inclusion can close; measure that instead
+            res = _subdifferential_residual(grid, yf, params, v, lam)
         # descent direction: gradient projected along g(u), the tangent
         # direction of the modular sphere (coincides with r for powers)
         d = A2 - (float(np.dot(A2, gv)) / float(np.dot(gv, gv))) * gv
-        return lam, r, d, A2, gv
+        return _Probe(res, r, A2, d, 1.0 / max(abs(lam), 1e-12), gv, lam)
 
-    def measured(v: np.ndarray, lam: float, r: np.ndarray) -> float:
-        res = float(np.max(np.abs(r)))
-        if res <= opts.tol:
-            return res
-        # minimizers may park pair quotients on density-jump atoms, where
-        # only the subdifferential inclusion can close; measure that instead
-        return _subdifferential_residual(grid, yf, params, v, lam)
-
-    def line_search(v: np.ndarray, E0: float, direction: np.ndarray, step0: float):
-        slope = hn * float(np.dot(direction, direction))
-        step = step0
-        for _ in range(opts.ls_max):
-            cand = v - step * direction
-            if np.any(cand != 0.0):
-                cand = cand / _modular_scale(cand, hn, yf, mu)
-                Ec = energy(DiscreteFunction(grid, cand), yf, params)
-                if Ec <= E0 - opts.armijo * step * slope:
-                    return cand, Ec, step
-            step *= 0.5
-        return None, E0, step
-
-    def crease_direction(v: np.ndarray, A2: np.ndarray, gv: np.ndarray):
+    def crease_direction(v: np.ndarray, p: _Probe) -> Optional[np.ndarray]:
         """Gradient projected tangent to the sphere and to every quotient
         parked on a density-jump surface, so the iterate can slide along the
         creases that block the plain direction."""
-        quot = (v[:, None] - v[None, :]) * kern.qs
+        A2, gv = p.grad, p.normal
+        quot = kern.quotients(v)
         qv = quot[kern.iu]
         active = np.nonzero(np.abs(np.abs(qv) - 1.0) <= 1e-8)[0]
         if len(active) == 0:
@@ -466,71 +556,22 @@ def solve_eigen(
             return None
         return d2
 
-    E = energy(DiscreteFunction(grid, u), yf, params)
-    lam, r, d, A2, gv = residual_parts(u)
-    history = [E]
-    best = (np.inf, u, lam)
-    prev_u = prev_d = None
-    step = 1.0 / max(abs(lam), 1e-12)
-    it = 0
-    stagnated = False
-    for it in range(1, opts.max_iter + 1):
-        res = measured(u, lam, r)
-        if res < best[0]:
-            best = (res, u, lam)
-        if res <= opts.tol:
-            break
-        if prev_u is not None:
-            ds = u - prev_u
-            dy = d - prev_d
-            denom = float(np.dot(ds, dy))
-            if denom > 0:
-                step = float(np.dot(ds, ds)) / denom
-            else:
-                step = 1.0 / max(abs(lam), 1e-12)
-        step = float(np.clip(step, 1e-14, 1e14))
-        floor = 1e-15 * max(1.0, abs(E))
-
-        def negligible(direction, used_step):
-            return used_step * hn * float(np.dot(direction, direction)) <= floor
-
-        cand, Ec, used = line_search(u, E, d, step)
-        if cand is None or negligible(d, used):
-            # plain descent exhausted: slide along active creases first
-            d2 = crease_direction(u, A2, gv)
-            if d2 is not None:
-                cand, Ec, used = line_search(u, E, d2, 1.0 / max(abs(lam), 1e-12))
-                if cand is not None and not negligible(d2, used):
-                    prev_u = prev_d = None  # direction family changed
-                    u, E = cand, Ec
-                    history.append(E)
-                    lam, r, d, A2, gv = residual_parts(u)
-                    continue
-            # both directions at the floating-point floor: Newton polish
-            res_p, u_p, lam_p = _newton_polish(grid, yf, params, u, mu, opts.tol)
-            if res_p < best[0]:
-                best = (res_p, u_p, lam_p)
-            if best[0] > opts.tol:
-                stagnated = True
-            break
-        prev_u, prev_d = u, d
-        u, E = cand, Ec
-        history.append(E)
-        lam, r, d, A2, gv = residual_parts(u)
-    if best[0] <= opts.tol or (
-        stagnated and opts.stagnation_tol is not None and best[0] <= opts.stagnation_tol
+    u, p, it, history, stall = _descend(
+        grid, yf, params, u, objective, project, probe, opts, crease_direction
+    )
+    if p.res <= opts.tol or (
+        stall is not None and opts.stagnation_tol is not None and p.res <= opts.stagnation_tol
     ):
-        res, u, lam = best
         return EigenResult(
-            DiscreteFunction(grid, u), lam, mu, it, res, np.asarray(history)
+            DiscreteFunction(grid, u), p.lam, mu, it, p.res, np.asarray(history)
         )
-    if stagnated:
+    if stall is not None:
         raise StagnationError(
-            f"line search collapsed at iteration {it} (best residual {best[0]:.3e})"
+            f"line search collapsed at iteration {it} (best residual {p.res:.3e})"
         )
     raise ConvergenceError(
         f"eigen solve did not reach tol {opts.tol:.1e} in {opts.max_iter} iterations "
-        f"(best residual {best[0]:.3e})"
+        f"(best residual {p.res:.3e})"
     )
 
 
@@ -560,76 +601,29 @@ def _descent_fixed_rhs(
     start: np.ndarray,
     opts: SolveOptions,
 ) -> np.ndarray:
-    """Minimize energy(v) - h**n <rhs, v>; the unique solve of 2 A(v) = rhs."""
+    """Minimize energy(v) - h**n <rhs, v>; the unique solve of 2 A(v) = rhs.
+
+    Runs the descent core without a constraint: the projection is the
+    identity and the defect is the gradient itself.
+    """
     hn = grid.node_weight
 
-    def grad(v):
-        return 2.0 * apply_operator(DiscreteFunction(grid, v), yf, params) - rhs
-
-    def objective(v):
+    def objective(v: np.ndarray) -> float:
         return energy(DiscreteFunction(grid, v), yf, params) - hn * float(np.dot(rhs, v))
 
-    def polish(v: np.ndarray, res0: float) -> tuple[np.ndarray, float]:
-        # descent blocked by floating-point flatness: Newton on the defect
-        r0 = grad(v)
-        res = res0
-        for _ in range(30):
-            if res <= opts.tol:
-                break
-            H = _energy_hessian(grid, yf, params, v)
-            try:
-                delta = np.linalg.solve(H, -hn * r0)
-            except np.linalg.LinAlgError:
-                break
-            damp, improved = 1.0, False
-            for _ in range(12):
-                cand = v + damp * delta
-                rc = grad(cand)
-                resc = float(np.max(np.abs(rc)))
-                if resc < res * (1.0 - 1e-3 * damp):
-                    v, r0, res = cand, rc, resc
-                    improved = True
-                    break
-                damp *= 0.5
-            if not improved:
-                break
-        return v, res
+    def probe(v: np.ndarray) -> _Probe:
+        r = 2.0 * apply_operator(DiscreteFunction(grid, v), yf, params) - rhs
+        return _Probe(float(np.max(np.abs(r))), r, r, r, 1.0)
 
-    u = start.copy()
-    J = objective(u)
-    r = grad(u)
-    prev_u = prev_r = None
-    step = 1.0
-    for it in range(1, opts.max_iter + 1):
-        res = float(np.max(np.abs(r)))
-        if res <= opts.tol:
-            return u
-        if prev_u is not None:
-            ds = u - prev_u
-            dy = r - prev_r
-            denom = float(np.dot(ds, dy))
-            step = float(np.dot(ds, ds)) / denom if denom > 0 else step
-        step = float(np.clip(step, 1e-14, 1e14))
-        slope = hn * float(np.dot(r, r))
-        floor = 1e-15 * max(1.0, abs(J))
-        accepted = False
-        for _ in range(opts.ls_max):
-            cand = u - step * r
-            Jc = objective(cand)
-            if Jc <= J - opts.armijo * step * slope:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted or step * slope <= floor:
-            u, res = polish(u, res)
-            if res <= opts.tol:
-                return u
-            raise StagnationError(
-                f"source solve stalled at iteration {it} (residual {res:.3e})"
-            )
-        prev_u, prev_r = u, r
-        u, J = cand, Jc
-        r = grad(u)
+    u, p, it, _, stall = _descend(
+        grid, yf, params, start.copy(), objective, lambda v: v, probe, opts
+    )
+    if p.res <= opts.tol:
+        return u
+    if stall is not None:
+        raise StagnationError(
+            f"source solve stalled at iteration {it} (residual {stall:.3e})"
+        )
     raise ConvergenceError(
         f"source solve did not reach tol {opts.tol:.1e} in {opts.max_iter} iterations"
     )
@@ -685,7 +679,7 @@ def solve_semilinear(
     u /= _modular_scale(u, hn, yf, 1.0)
     best = np.inf
     bad_sweeps = 0
-    for sweep in range(opts.max_outer):
+    for sweep in range(_MAX_SWEEPS):
         rel, res = residuals(u)
         if rel <= opts.tol:
             return DiscreteFunction(grid, u)
@@ -699,12 +693,7 @@ def solve_semilinear(
                     f"Picard sweeps stopped contracting (relative residual {rel:.3e})"
                 )
         frozen = rhs.f(u) + src
-        inner = SolveOptions(
-            tol=max(0.02 * res, 1e-14),
-            max_iter=opts.max_iter,
-            armijo=opts.armijo,
-            ls_max=opts.ls_max,
-        )
+        inner = SolveOptions(tol=max(0.02 * res, 1e-14), max_iter=opts.max_iter)
         w = _descent_fixed_rhs(grid, yf, params, frozen, u, inner)
         # rescale the update along its ray by minimizing the normalized
         # defect: the zero function solves the equation too, so the absolute
@@ -729,9 +718,9 @@ def solve_semilinear(
                 x2 = lo + phi * (hi - lo)
                 f2 = residuals(10.0**x2 * w)[0]
         c = 10.0 ** (x1 if f1 < f2 else x2)
-        u = (1.0 - opts.damping) * u + opts.damping * (c * w)
+        u = (1.0 - _PICARD_DAMPING) * u + _PICARD_DAMPING * (c * w)
     raise ConvergenceError(
-        f"semilinear solve did not reach tol {opts.tol:.1e} in {opts.max_outer} sweeps "
+        f"semilinear solve did not reach tol {opts.tol:.1e} in {_MAX_SWEEPS} sweeps "
         f"(relative residual {residuals(u)[0]:.3e})"
     )
 
@@ -890,12 +879,11 @@ def pair_test_margin(
     kern = get_kernel(u.grid, params)
     s = params.s
     uu, ww = u.values, w.values
-    qu = (uu[:, None] - uu[None, :]) * kern.qs
-    qw = (ww[:, None] - ww[None, :]) * kern.qs
+    qu = kern.quotients(uu)
+    qw = kern.quotients(ww)
     lhs = yf.slope_odd(qu) * qw
     rhs = yf.p_minus * yf(np.abs(qw))
-    iu = np.triu_indices(u.grid.node_count, k=1)
-    margin = float(np.min((lhs - rhs)[iu]))
+    margin = float(np.min((lhs - rhs)[kern.iu]))
     # exterior rays: quotients u_i / d**s and w_i / d**s
     scale = kern.ray_dist ** (-s)
     qu_e = uu[:, None] * scale

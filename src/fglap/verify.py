@@ -24,6 +24,7 @@ from .operator import (
     s_quotient,
 )
 from .solver import (
+    ConvergenceError,
     SolveOptions,
     degiorgi_trace,
     domain_modular,
@@ -127,7 +128,9 @@ INVARIANT_REGISTRY: dict[str, list[str]] = {
 
 
 def _result(name, ok, margin, samples, detail="") -> CheckResult:
-    return CheckResult(name, "pass" if ok else "fail", float(margin), samples, detail)
+    # an exact-zero margin takes its sign from the reduction order; + 0.0
+    # turns -0.0 into 0.0 so the report does not depend on it
+    return CheckResult(name, "pass" if ok else "fail", float(margin) + 0.0, samples, detail)
 
 
 def _skip(name, detail) -> CheckResult:
@@ -464,14 +467,25 @@ def _check_refinement_consistency(ctx) -> CheckResult:
 
 
 def _ladder(ctx):
+    """The eigen solves shared by the solver checks, run once per context.
+
+    A failed ladder is cached as its error, so every check that needs it
+    fails with the same detail without solving again.  The traceback is
+    dropped before each raise, so no solver frame keeps its arrays alive.
+    """
     if ctx._ladder is None:
         yf = ctx.families[ctx.primary]
         params = OperatorParams(s=ctx.s)
         opts = SolveOptions(tol=2e-6, max_iter=8000, stagnation_tol=5e-3)
-        ctx._ladder = [
-            solve_eigen(Grid.build([0.0, 1.0], n), yf, params, ctx.mu, opts)
-            for n in ctx.ladder_sizes
-        ]
+        try:
+            ctx._ladder = [
+                solve_eigen(Grid.build([0.0, 1.0], n), yf, params, ctx.mu, opts)
+                for n in ctx.ladder_sizes
+            ]
+        except ConvergenceError as exc:
+            ctx._ladder = exc
+    if isinstance(ctx._ladder, ConvergenceError):
+        raise ctx._ladder.with_traceback(None)
     return ctx._ladder
 
 

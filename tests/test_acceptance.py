@@ -371,7 +371,7 @@ def test_acceptance_semilinear_study():
         params = OperatorParams(s=0.4)
         u = solve_semilinear(
             grid, G, SemilinearRHS.from_young(F), params,
-            SolveOptions(tol=1e-6, max_iter=40000, max_outer=200),
+            SolveOptions(tol=1e-6, max_iter=40000),
         )
         A2 = 2.0 * apply_operator(u, G, params)
         fv = SemilinearRHS.from_young(F).f(u.values)

@@ -8,7 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+import fglap.cli
 from fglap.cli import ConfigError, main, normalize_config, run_command
+from fglap.solver import StagnationError
 from fglap.verify import INVARIANT_REGISTRY, run_verify
 
 
@@ -141,7 +143,15 @@ def test_young_table_format(tmp_path):
     assert two[0] == "t,G"
 
 
-def test_degiorgi_artifacts(tmp_path):
+def test_degiorgi_artifacts(tmp_path, monkeypatch):
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return solve_eigen(*args, **kwargs)
+
+    solve_eigen = fglap.cli.solve_eigen
+    monkeypatch.setattr(fglap.cli, "solve_eigen", counted)
     cfg = {
         "command": "degiorgi",
         "young": {"family": "piecewise_power", "p": 2.5, "q": 3},
@@ -153,6 +163,7 @@ def test_degiorgi_artifacts(tmp_path):
     }
     code, out = run_cli(tmp_path, cfg)
     assert code == 0
+    assert len(solves) == 1  # the trace reuses the eigenpair it writes
     lines = (out / "trace.csv").read_text().splitlines()
     assert lines[0] == "k,a_k"
     assert len(lines) == 14
@@ -276,3 +287,36 @@ def test_verify_skips_when_embedding_condition_fails(tmp_path):
     assert code == 0
     rep = json.loads((out / "verify_report.json").read_text())
     assert rep["ok"] is True
+
+
+def _failing_solve(calls):
+    def solve(*args, **kwargs):
+        calls.append(args)
+        raise StagnationError("line search collapsed at iteration 7 (best residual 1.000e-02)")
+
+    return solve
+
+
+def test_failed_ladder_is_solved_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr("fglap.verify.solve_eigen", _failing_solve(calls))
+    rep = run_verify(seed=0, only=INVARIANT_REGISTRY["eigen_solver"])
+    assert len(calls) == 1
+    assert [c.status for c in rep.checks] == ["fail"] * 8
+    assert {c.detail for c in rep.checks} == {
+        "StagnationError: line search collapsed at iteration 7 (best residual 1.000e-02)"
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_verify_margins_carry_no_negative_zero(monkeypatch, families, seed):
+    # exact-zero margins are canonical, whatever the reduction order gives;
+    # the solve ladder is stubbed out, it has no zero margins to check, and
+    # the primary family alone keeps the growth-function checks quick
+    monkeypatch.setattr("fglap.verify.solve_eigen", _failing_solve([]))
+    primary = {"piecewise2_3": families["piecewise2_3"]}
+    rep = run_verify(seed=seed, s=0.5, mu=1.0, draws=1, families=primary)
+    assert len(rep.checks) == 30
+    zeros = [c.name for c in rep.checks if c.margin == 0.0]
+    assert "truncation_pair_inequality" in zeros
+    assert all(np.copysign(1.0, c.margin) > 0 for c in rep.checks if c.margin == 0.0)

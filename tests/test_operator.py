@@ -229,17 +229,6 @@ def test_translation_covariance_and_reflection(families):
     assert np.allclose(a3, a1[::-1], rtol=0, atol=1e-12 * np.max(np.abs(a1)))
 
 
-def test_truncation_radius_interface():
-    g = Grid.build([0.0, 1.0], 8)
-    u = DiscreteFunction(g, np.ones(8))
-    G = make_power(2.0)
-    with pytest.raises(ValueError):
-        apply_operator(u, G, OperatorParams(s=0.5, truncation_radius=1.0))
-    ok = apply_operator(u, G, OperatorParams(s=0.5, truncation_radius=4.0))
-    full = apply_operator(u, G, OperatorParams(s=0.5))
-    assert np.allclose(ok, full)
-
-
 # ---------------------------------------------------------------------------
 # energy and gradient
 # ---------------------------------------------------------------------------

@@ -240,7 +240,7 @@ def test_semilinear_autonomous_nontrivial():
     params = OperatorParams(s=0.4)
     u = solve_semilinear(
         grid, G, SemilinearRHS.from_young(F), params,
-        SolveOptions(tol=1e-6, max_iter=40000, max_outer=200),
+        SolveOptions(tol=1e-6, max_iter=40000),
     )
     assert sup_norm(u) > 1.0  # the nontrivial branch, not the zero solution
     A2 = 2.0 * apply_operator(u, G, params)
