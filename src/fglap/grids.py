@@ -77,10 +77,6 @@ class Grid:
         return float(np.prod(self.bounds[:, 1] - self.bounds[:, 0]))
 
     @property
-    def diameter(self) -> float:
-        return float(np.linalg.norm(self.bounds[:, 1] - self.bounds[:, 0]))
-
-    @property
     def center(self) -> np.ndarray:
         return 0.5 * (self.bounds[:, 0] + self.bounds[:, 1])
 

@@ -22,14 +22,16 @@ so the nodal gradient identity
 holds exactly, exterior terms included.
 
 The discrete energy is the double sum over ordered node pairs plus the
-interior-by-exterior part.  Node order is fixed and all reductions are
-numpy pairwise sums, so results are deterministic and independent of BLAS
-thread counts.
+interior-by-exterior part.  Node order is fixed, so results are
+deterministic for a fixed BLAS thread count.  The operator's row sums are
+numpy pairwise sums, but the energy reduces with ``np.dot``, a BLAS call
+whose last bit can depend on the thread count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -211,6 +213,27 @@ def _exterior_operator(u: np.ndarray, yf: YoungFunction, kern: _Kernel) -> np.nd
     return out
 
 
+class _Pass(NamedTuple):
+    """One operator evaluation with the pair arrays it was formed from."""
+
+    value: np.ndarray  # operator at every node
+    quotients: np.ndarray  # pair quotients, N x N
+    density: np.ndarray  # g(|quotients|)
+    exterior: np.ndarray  # exterior term per node
+
+
+def _operator_pass(v: np.ndarray, yf: YoungFunction, kern: _Kernel) -> _Pass:
+    """The operator at every node, keeping the quotients, their densities
+    and the exterior term for callers that reuse them."""
+    q = kern.quotients(v)
+    gq = yf.g(q)
+    terms = np.sign(q)
+    terms *= gq
+    terms *= kern.wop
+    ext = _exterior_operator(v, yf, kern)
+    return _Pass(np.sum(terms, axis=1) + ext, q, gq, ext)
+
+
 def apply_operator(
     u: DiscreteFunction, yf: YoungFunction, params: OperatorParams
 ) -> np.ndarray:
@@ -219,10 +242,7 @@ def apply_operator(
     Per node: midpoint principal-value sum of g(quotient) * kernel over the
     other nodes, plus the exact exterior ray integrals (u = 0 outside).
     """
-    kern = get_kernel(u.grid, params)
-    v = u.values
-    interior = np.sum(yf.slope_odd(kern.quotients(v)) * kern.wop, axis=1)
-    return interior + _exterior_operator(v, yf, kern)
+    return _operator_pass(u.values, yf, get_kernel(u.grid, params)).value
 
 
 def pair_samples(u: DiscreteFunction, params: OperatorParams) -> WeightedSamples:

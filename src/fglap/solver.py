@@ -35,7 +35,8 @@ import numpy as np
 from .grids import DiscreteFunction, Grid
 from .operator import (
     OperatorParams,
-    _exterior_operator,
+    _Pass,
+    _operator_pass,
     apply_operator,
     energy,
     get_kernel,
@@ -236,26 +237,34 @@ def _bump(grid: Grid) -> np.ndarray:
     return vals
 
 
-def _slope_bands(yf: YoungFunction, t: np.ndarray):
-    """One-sided bounds for the odd density slope at t.
+def _slope_bands(yf: YoungFunction, t: np.ndarray, g_mid: np.ndarray):
+    """One-sided bounds for the odd density slope at t, given g(|t|).
 
     Densities of piecewise families jump at isolated arguments; minimizers
     of the discrete energy park pair quotients exactly on those atoms, where
     the stationarity condition is an inclusion in the jump interval rather
     than an equation.  Both one-sided limits are obtained by evaluating the
-    density a relative machine-epsilon to the left.
+    density a relative hair to either side.
     """
-    at = np.abs(t)
-    g_mid = yf.g(at)
     # window wide enough to catch quotients parked at a jump to within the
     # rounding noise of the stalled line search, narrow enough to add only
     # O(1e-9) slack for smooth densities
-    g_left = yf.g(at * (1.0 - 1e-9))
-    g_right = yf.g(at * (1.0 + 1e-9))
-    lo = np.minimum(np.minimum(g_left, g_right), g_mid)
-    hi = np.maximum(np.maximum(g_left, g_right), g_mid)
+    side = np.abs(t)
+    side *= 1.0 - 1e-9
+    g_left = yf.g(side)
+    np.abs(t, out=side)
+    side *= 1.0 + 1e-9
+    g_right = yf.g(side)
+    lo = np.minimum(g_left, g_right, out=side)
+    np.minimum(lo, g_mid, out=lo)
+    hi = np.maximum(g_left, g_right, out=g_left)
+    np.maximum(hi, g_mid, out=hi)
+    # where t < 0 the odd slope is -g: the bounds swap and change sign
     neg = t < 0
-    return np.where(neg, -hi, lo), np.where(neg, -lo, hi)
+    neg_lo = np.negative(lo, out=g_right)
+    np.negative(hi, out=lo, where=neg)
+    np.copyto(hi, neg_lo, where=neg)
+    return lo, hi
 
 
 def _energy_hessian(
@@ -290,44 +299,47 @@ def _energy_hessian(
 
 
 def _subdifferential_residual(
-    grid: Grid,
-    yf: YoungFunction,
-    params: OperatorParams,
-    v: np.ndarray,
-    lam: float,
+    yf: YoungFunction, wop: np.ndarray, op: _Pass, v: np.ndarray, lam: float
 ) -> float:
     """Sup over nodes of the distance from 0 to the interval of possible
     Euler-Lagrange defects 2 A_sel(v) - lam' * g_sel(v), minimized over
     one-sided density selections and over multipliers lam' near lam.
     Coincides with sup|2A - lam g(v)| for smooth densities.
 
+    ``op`` is the operator pass at v and ``wop`` the kernel weights it was
+    formed with; its quotients, densities and exterior term are reused.
+
     The per-node intervals are coordinate projections of the coupled
     selection set, so the returned value is a certified lower bound for the
     true stationarity defect; it is the quantity that can actually vanish
     when a minimizer parks quotients on density-jump atoms.
     """
-    kern = get_kernel(grid, params)
-    b_lo, b_hi = _slope_bands(yf, kern.quotients(v))
-    ext = _exterior_operator(v, yf, kern)
-    a_lo = 2.0 * (np.sum(b_lo * kern.wop, axis=1) + ext)
-    a_hi = 2.0 * (np.sum(b_hi * kern.wop, axis=1) + ext)
-    g_lo, g_hi = _slope_bands(yf, v)
+    b_lo, b_hi = _slope_bands(yf, op.quotients, op.density)
+    b_lo *= wop
+    b_hi *= wop
+    a_lo = 2.0 * (np.sum(b_lo, axis=1) + op.exterior)
+    a_hi = 2.0 * (np.sum(b_hi, axis=1) + op.exterior)
+    g_lo, g_hi = _slope_bands(yf, v, yf.g(v))
+    # every multiplier searched lies in [0.9 lam, 1.1 lam], so has lam's sign
+    g_first, g_second = (g_hi, g_lo) if lam >= 0 else (g_lo, g_hi)
 
-    def sup_dist(lm: float) -> float:
-        r_lo = a_lo - lm * np.where(lm >= 0, g_hi, g_lo)
-        r_hi = a_hi - lm * np.where(lm >= 0, g_lo, g_hi)
-        return float(np.max(np.maximum(r_lo, 0.0) + np.maximum(-r_hi, 0.0)))
+    def sup_dist(lms: np.ndarray) -> np.ndarray:
+        """The sup of per-node distances at each multiplier in lms."""
+        r_lo = a_lo - lms[:, None] * g_first
+        r_hi = a_hi - lms[:, None] * g_second
+        return np.max(np.maximum(r_lo, 0.0) + np.maximum(-r_hi, 0.0), axis=1)
 
     # the sup of per-node distances is convex in the multiplier
     lo, hi = 0.9 * lam, 1.1 * lam
     for _ in range(80):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
-        if sup_dist(m1) <= sup_dist(m2):
+        d1, d2 = sup_dist(np.array([m1, m2]))
+        if d1 <= d2:
             hi = m2
         else:
             lo = m1
-    return sup_dist(0.5 * (lo + hi))
+    return float(sup_dist(np.array([0.5 * (lo + hi)]))[0])
 
 
 class _Probe(NamedTuple):
@@ -359,12 +371,14 @@ def _newton_polish(
     yf: YoungFunction,
     params: OperatorParams,
     u: np.ndarray,
+    p: _Probe,
     probe: Callable[[np.ndarray], _Probe],
     project: _Projection,
     tol: float,
 ) -> tuple[np.ndarray, _Probe]:
     """Damped Newton steps on the stationarity system, the energy Hessian
-    bordered by the constraint normal when there is one.
+    bordered by the constraint normal when there is one.  Starts from u,
+    whose probe p the caller has already taken.
 
     Energy-comparison line searches cannot resolve defects below the square
     root of machine precision; the Newton correction can.  Steps are
@@ -373,7 +387,6 @@ def _newton_polish(
     """
     hn = grid.node_weight
     n = len(u)
-    p = probe(u)
     for _ in range(_POLISH_STEPS):
         if p.res <= tol:
             break
@@ -472,7 +485,7 @@ def _descend(
                 found = line_search(u, J, d2, p.natural, floor)
                 prev = None  # the direction family changed
             if found is None:
-                polished = _newton_polish(grid, yf, params, u, probe, project, opts.tol)
+                polished = _newton_polish(grid, yf, params, u, p, probe, project, opts.tol)
                 if polished[1].res < best[1].res:
                     best = polished
                 if polished[1].res > opts.tol:
@@ -518,7 +531,10 @@ def solve_eigen(
         return v / _modular_scale(v, hn, yf, mu)
 
     def probe(v: np.ndarray) -> _Probe:
-        A2 = 2.0 * apply_operator(DiscreteFunction(grid, v), yf, params)
+        # one operator pass serves the plain and the subdifferential defect;
+        # DiscreteFunction still rejects a non-finite iterate
+        op = _operator_pass(DiscreteFunction(grid, v).values, yf, kern)
+        A2 = 2.0 * op.value
         gv = yf.slope_odd(v)
         lam = float(np.dot(A2, v) / np.dot(gv, v))
         r = A2 - lam * gv
@@ -526,7 +542,7 @@ def solve_eigen(
         if res > opts.tol:
             # minimizers may park pair quotients on density-jump atoms, where
             # only the subdifferential inclusion can close; measure that instead
-            res = _subdifferential_residual(grid, yf, params, v, lam)
+            res = _subdifferential_residual(yf, kern.wop, op, v, lam)
         # descent direction: gradient projected along g(u), the tangent
         # direction of the modular sphere (coincides with r for powers)
         d = A2 - (float(np.dot(A2, gv)) / float(np.dot(gv, gv))) * gv
