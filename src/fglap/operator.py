@@ -26,12 +26,21 @@ interior-by-exterior part.  Node order is fixed, so results are
 deterministic for a fixed BLAS thread count.  The operator's row sums are
 numpy pairwise sums, but the energy reduces with ``np.dot``, a BLAS call
 whose last bit can depend on the thread count.
+
+The operator, its stationarity bands and the energy run over node pairs in
+blocks of about ``_BLOCK`` elements, so their temporaries stay in cache and
+none of them forms an N x N array per call.  The blocking moves no bit:
+each row sum of the operator and its bands is taken over the whole
+contiguous row, every element sees the same operations in the same order,
+and the energy fills one pair-length vector block by block and reduces it
+with a single ``np.dot``.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -100,9 +109,10 @@ class _Kernel:
             self.ray_dist, self.ray_w = _angular_rays(grid, params.theta_order)
         self.ray_scale = self.ray_dist ** (-s)
 
-    def quotients(self, v: np.ndarray) -> np.ndarray:
-        """Pair quotients (v_i - v_j) |x_i - x_j|**(-s), zero on the diagonal."""
-        return (v[:, None] - v[None, :]) * self.qs
+    def quotients(self, v: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """Pair quotients (v_i - v_j) |x_i - x_j|**(-s) for the nodes i in
+        rows against every node j, zero on the diagonal."""
+        return (v[rows, None] - v[None, :]) * self.qs[rows]
 
 
 def _angular_rays(grid: Grid, order: int):
@@ -155,7 +165,10 @@ def get_kernel(grid: Grid, params: OperatorParams) -> _Kernel:
 # tabulated primitive Ghat(x) = int_0^x G(sigma)/sigma dsigma per growth
 # function; a knot sits exactly at sigma = 1 so piecewise families keep
 # their density corner at a panel boundary and every panel stays smooth.
-_HATS: dict[YoungFunction, _LogLogTable] = {}
+# Weakly keyed: a table lives only as long as its growth function.
+_HATS: "weakref.WeakKeyDictionary[YoungFunction, _LogLogTable]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
 def _hat_table(yf: YoungFunction) -> _LogLogTable:
@@ -213,25 +226,81 @@ def _exterior_operator(u: np.ndarray, yf: YoungFunction, kern: _Kernel) -> np.nd
     return out
 
 
+# elements per block of a pair pass (512 KiB of float64): large enough to
+# amortize numpy's per-call cost, small enough to stay in L2
+_BLOCK = 1 << 16
+
+
+def _slope_bands(yf: YoungFunction, t: np.ndarray, g_mid: np.ndarray):
+    """One-sided bounds for the odd density slope at t, given g(|t|).
+
+    Densities of piecewise families jump at isolated arguments; minimizers
+    of the discrete energy park pair quotients exactly on those atoms, where
+    the stationarity condition is an inclusion in the jump interval rather
+    than an equation.  Both one-sided limits are obtained by evaluating the
+    density a relative hair to either side.
+    """
+    # window wide enough to catch quotients parked at a jump to within the
+    # rounding noise of the stalled line search, narrow enough to add only
+    # O(1e-9) slack for smooth densities
+    side = np.abs(t)
+    side *= 1.0 - 1e-9
+    g_left = yf.g(side)
+    np.abs(t, out=side)
+    side *= 1.0 + 1e-9
+    g_right = yf.g(side)
+    lo = np.minimum(g_left, g_right, out=side)
+    np.minimum(lo, g_mid, out=lo)
+    hi = np.maximum(g_left, g_right, out=g_left)
+    np.maximum(hi, g_mid, out=hi)
+    # where t < 0 the odd slope is -g: the bounds swap and change sign
+    neg = t < 0
+    neg_lo = np.negative(lo, out=g_right)
+    np.negative(hi, out=lo, where=neg)
+    np.copyto(hi, neg_lo, where=neg)
+    return lo, hi
+
+
 class _Pass(NamedTuple):
-    """One operator evaluation with the pair arrays it was formed from."""
+    """One operator evaluation, with the per-node sums the stationarity
+    measure reuses."""
 
     value: np.ndarray  # operator at every node
-    quotients: np.ndarray  # pair quotients, N x N
-    density: np.ndarray  # g(|quotients|)
     exterior: np.ndarray  # exterior term per node
+    # interior row sums of the lower and upper one-sided slope bands
+    # against the kernel; None when the pass was asked for no bands
+    band_lo: Optional[np.ndarray]
+    band_hi: Optional[np.ndarray]
 
 
-def _operator_pass(v: np.ndarray, yf: YoungFunction, kern: _Kernel) -> _Pass:
-    """The operator at every node, keeping the quotients, their densities
-    and the exterior term for callers that reuse them."""
-    q = kern.quotients(v)
-    gq = yf.g(q)
-    terms = np.sign(q)
-    terms *= gq
-    terms *= kern.wop
+def _operator_pass(
+    v: np.ndarray, yf: YoungFunction, kern: _Kernel, bands: bool
+) -> _Pass:
+    """The operator at every node and its exterior term, formed in row
+    blocks; with ``bands`` also the row sums of the one-sided slope bands,
+    from the same block quotients and densities."""
+    N = len(v)
+    step = max(1, _BLOCK // N)
+    interior = np.empty(N)
+    band_lo = np.empty(N) if bands else None
+    band_hi = np.empty(N) if bands else None
+    for start in range(0, N, step):
+        rows = slice(start, start + step)
+        q = kern.quotients(v, rows)
+        gq = yf.g(q)
+        w = kern.wop[rows]
+        if bands:
+            lo, hi = _slope_bands(yf, q, gq)
+            lo *= w
+            hi *= w
+            band_lo[rows] = np.sum(lo, axis=1)
+            band_hi[rows] = np.sum(hi, axis=1)
+        terms = np.sign(q)
+        terms *= gq
+        terms *= w
+        interior[rows] = np.sum(terms, axis=1)
     ext = _exterior_operator(v, yf, kern)
-    return _Pass(np.sum(terms, axis=1) + ext, q, gq, ext)
+    return _Pass(interior + ext, ext, band_lo, band_hi)
 
 
 def apply_operator(
@@ -242,7 +311,7 @@ def apply_operator(
     Per node: midpoint principal-value sum of g(quotient) * kernel over the
     other nodes, plus the exact exterior ray integrals (u = 0 outside).
     """
-    return _operator_pass(u.values, yf, get_kernel(u.grid, params)).value
+    return _operator_pass(u.values, yf, get_kernel(u.grid, params), bands=False).value
 
 
 def pair_samples(u: DiscreteFunction, params: OperatorParams) -> WeightedSamples:
@@ -256,9 +325,20 @@ def pair_samples(u: DiscreteFunction, params: OperatorParams) -> WeightedSamples
 def _energy_scaled(
     u: np.ndarray, yf: YoungFunction, kern: _Kernel, lam: float
 ) -> float:
-    """Modular energy of u / lam from pair quotients plus the Ghat exterior."""
-    q = np.abs(u[kern.iu[0]] - u[kern.iu[1]]) * kern.pair_qs
-    total = float(np.dot(kern.pair_wen, yf.evaluate(q / lam)))
+    """Modular energy of u / lam from pair quotients plus the Ghat exterior.
+
+    G is evaluated block by block into one pair-length vector, which a
+    single dot product reduces.
+    """
+    i0, i1 = kern.iu
+    vals = np.empty(len(i0))
+    for start in range(0, len(i0), _BLOCK):
+        b = slice(start, start + _BLOCK)
+        q = np.abs(u[i0[b]] - u[i1[b]])
+        q *= kern.pair_qs[b]
+        q /= lam
+        vals[b] = yf.evaluate(q)
+    total = float(np.dot(kern.pair_wen, vals))
     nz = u != 0.0
     if np.any(nz):
         hat = _hat_table(yf)

@@ -37,6 +37,7 @@ from .operator import (
     OperatorParams,
     _Pass,
     _operator_pass,
+    _slope_bands,
     apply_operator,
     energy,
     get_kernel,
@@ -237,36 +238,6 @@ def _bump(grid: Grid) -> np.ndarray:
     return vals
 
 
-def _slope_bands(yf: YoungFunction, t: np.ndarray, g_mid: np.ndarray):
-    """One-sided bounds for the odd density slope at t, given g(|t|).
-
-    Densities of piecewise families jump at isolated arguments; minimizers
-    of the discrete energy park pair quotients exactly on those atoms, where
-    the stationarity condition is an inclusion in the jump interval rather
-    than an equation.  Both one-sided limits are obtained by evaluating the
-    density a relative hair to either side.
-    """
-    # window wide enough to catch quotients parked at a jump to within the
-    # rounding noise of the stalled line search, narrow enough to add only
-    # O(1e-9) slack for smooth densities
-    side = np.abs(t)
-    side *= 1.0 - 1e-9
-    g_left = yf.g(side)
-    np.abs(t, out=side)
-    side *= 1.0 + 1e-9
-    g_right = yf.g(side)
-    lo = np.minimum(g_left, g_right, out=side)
-    np.minimum(lo, g_mid, out=lo)
-    hi = np.maximum(g_left, g_right, out=g_left)
-    np.maximum(hi, g_mid, out=hi)
-    # where t < 0 the odd slope is -g: the bounds swap and change sign
-    neg = t < 0
-    neg_lo = np.negative(lo, out=g_right)
-    np.negative(hi, out=lo, where=neg)
-    np.copyto(hi, neg_lo, where=neg)
-    return lo, hi
-
-
 def _energy_hessian(
     grid: Grid, yf: YoungFunction, params: OperatorParams, u: np.ndarray
 ) -> np.ndarray:
@@ -299,26 +270,23 @@ def _energy_hessian(
 
 
 def _subdifferential_residual(
-    yf: YoungFunction, wop: np.ndarray, op: _Pass, v: np.ndarray, lam: float
+    yf: YoungFunction, op: _Pass, v: np.ndarray, lam: float
 ) -> float:
     """Sup over nodes of the distance from 0 to the interval of possible
     Euler-Lagrange defects 2 A_sel(v) - lam' * g_sel(v), minimized over
     one-sided density selections and over multipliers lam' near lam.
     Coincides with sup|2A - lam g(v)| for smooth densities.
 
-    ``op`` is the operator pass at v and ``wop`` the kernel weights it was
-    formed with; its quotients, densities and exterior term are reused.
+    ``op`` is the operator pass at v, formed with bands; its band row sums
+    and exterior term are reused.
 
     The per-node intervals are coordinate projections of the coupled
     selection set, so the returned value is a certified lower bound for the
     true stationarity defect; it is the quantity that can actually vanish
     when a minimizer parks quotients on density-jump atoms.
     """
-    b_lo, b_hi = _slope_bands(yf, op.quotients, op.density)
-    b_lo *= wop
-    b_hi *= wop
-    a_lo = 2.0 * (np.sum(b_lo, axis=1) + op.exterior)
-    a_hi = 2.0 * (np.sum(b_hi, axis=1) + op.exterior)
+    a_lo = 2.0 * (op.band_lo + op.exterior)
+    a_hi = 2.0 * (op.band_hi + op.exterior)
     g_lo, g_hi = _slope_bands(yf, v, yf.g(v))
     # every multiplier searched lies in [0.9 lam, 1.1 lam], so has lam's sign
     g_first, g_second = (g_hi, g_lo) if lam >= 0 else (g_lo, g_hi)
@@ -532,8 +500,10 @@ def solve_eigen(
 
     def probe(v: np.ndarray) -> _Probe:
         # one operator pass serves the plain and the subdifferential defect;
-        # DiscreteFunction still rejects a non-finite iterate
-        op = _operator_pass(DiscreteFunction(grid, v).values, yf, kern)
+        # it forms the bands even when the plain defect closes, which costs
+        # less than a second pass when it does not.  DiscreteFunction still
+        # rejects a non-finite iterate
+        op = _operator_pass(DiscreteFunction(grid, v).values, yf, kern, bands=True)
         A2 = 2.0 * op.value
         gv = yf.slope_odd(v)
         lam = float(np.dot(A2, v) / np.dot(gv, v))
@@ -542,7 +512,7 @@ def solve_eigen(
         if res > opts.tol:
             # minimizers may park pair quotients on density-jump atoms, where
             # only the subdifferential inclusion can close; measure that instead
-            res = _subdifferential_residual(yf, kern.wop, op, v, lam)
+            res = _subdifferential_residual(yf, op, v, lam)
         # descent direction: gradient projected along g(u), the tangent
         # direction of the modular sphere (coincides with r for powers)
         d = A2 - (float(np.dot(A2, gv)) / float(np.dot(gv, gv))) * gv
@@ -553,17 +523,16 @@ def solve_eigen(
         parked on a density-jump surface, so the iterate can slide along the
         creases that block the plain direction."""
         A2, gv = p.grad, p.normal
-        quot = kern.quotients(v)
-        qv = quot[kern.iu]
+        i0, i1 = kern.iu
+        qv = (v[i0] - v[i1]) * kern.pair_qs
         active = np.nonzero(np.abs(np.abs(qv) - 1.0) <= 1e-8)[0]
         if len(active) == 0:
             return None
         cols = [gv]
         for m in active[:32]:
-            i, j = kern.iu[0][m], kern.iu[1][m]
             nvec = np.zeros_like(v)
-            scale = kern.qs[i, j] * np.sign(quot[i, j])
-            nvec[i], nvec[j] = scale, -scale
+            scale = kern.pair_qs[m] * np.sign(qv[m])
+            nvec[i0[m]], nvec[i1[m]] = scale, -scale
             cols.append(nvec)
         B = np.column_stack(cols)
         coef, *_ = np.linalg.lstsq(B, A2, rcond=None)

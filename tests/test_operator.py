@@ -1,6 +1,9 @@
 """Discretized nonlocal operator: quotients, principal-value sums, exterior
 integrals, energy, gradient, and the Luxemburg-type seminorm."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +24,15 @@ from fglap import (
     pair_samples,
     s_quotient,
     scale_young,
+)
+from fglap.operator import (
+    _BLOCK,
+    _HATS,
+    _energy_scaled,
+    _hat_table,
+    _Kernel,
+    _operator_pass,
+    get_kernel,
 )
 from conftest import kink_safe
 
@@ -433,3 +445,75 @@ def test_pair_samples_weights():
     samples = pair_samples(u, params)
     assert samples.values.shape == (8 * 7 // 2,)
     assert np.all(samples.weights > 0)
+
+
+# ---------------------------------------------------------------------------
+# blocked pair passes
+# ---------------------------------------------------------------------------
+
+
+def _reference_energy_scaled(u, yf, kern, lam):
+    """The energy formed in one shot over the whole pair vector."""
+    q = np.abs(u[kern.iu[0]] - u[kern.iu[1]]) * kern.pair_qs
+    total = float(np.dot(kern.pair_wen, yf.evaluate(q / lam)))
+    nz = u != 0.0
+    if np.any(nz):
+        hat = _hat_table(yf)
+        args = (np.abs(u[nz])[:, None] / lam) * kern.ray_scale[nz]
+        hn = kern.grid.node_weight
+        total += (2.0 * hn / kern.params.s) * float(
+            np.sum(kern.ray_w[nz] * hat(args))
+        )
+    return total
+
+
+@pytest.mark.parametrize(
+    "family, bounds, cells",
+    [("piecewise2_3", [0.0, 1.0], 600), ("summix", [[0.0, 1.0], [0.0, 1.0]], (24, 24))],
+)
+def test_blocked_energy_is_bitwise_the_reference(families, family, bounds, cells):
+    yf = families[family]
+    grid = Grid.build(bounds, cells)
+    params = OperatorParams(s=0.4)
+    kern = get_kernel(grid, params)
+    # three pair blocks, the last one ragged
+    assert 2 * _BLOCK < len(kern.pair_qs) < 3 * _BLOCK
+    v = np.random.default_rng(11).standard_normal(grid.node_count)
+    got = energy(DiscreteFunction(grid, v), yf, params)
+    assert got.hex() == _reference_energy_scaled(v, yf, kern, 1.0).hex()
+    got = _energy_scaled(v, yf, kern, 0.37)
+    assert got.hex() == _reference_energy_scaled(v, yf, kern, 0.37).hex()
+
+
+def test_pair_passes_stay_within_block_memory(families):
+    yf = families["piecewise2_3"]
+    grid = Grid.build([0.0, 1.0], 2000)
+    # built directly so the session's kernel cache does not keep it
+    kern = _Kernel(grid, OperatorParams(s=0.4))
+    v = np.random.default_rng(3).standard_normal(grid.node_count)
+    _hat_table(yf)  # the exterior table is built once per growth function
+    N = grid.node_count
+    tracemalloc.start()
+    try:
+        _operator_pass(v, yf, kern, bands=True)
+        _, pass_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        _energy_scaled(v, yf, kern, 1.0)
+        _, energy_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # half of one N x N float64 array, and two pair-length vectors
+    assert pass_peak < N * N * 8 // 2
+    assert energy_peak < 2 * 8 * len(kern.pair_qs)
+
+
+def test_hat_cache_lives_with_its_growth_function():
+    gc.collect()
+    before = len(_HATS)
+    yf = make_power(2.5)
+    grid = Grid.build([0.0, 1.0], 8)
+    energy(DiscreteFunction(grid, np.ones(8)), yf, OperatorParams(s=0.5))
+    assert len(_HATS) == before + 1
+    del yf
+    gc.collect()
+    assert len(_HATS) == before

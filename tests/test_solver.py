@@ -254,7 +254,13 @@ def _reference_subdifferential_residual(yf, kern, v, lam):
 
 @pytest.mark.parametrize(
     "family, bounds, cells",
-    [("piecewise2_3", [0.0, 1.0], 64), ("summix", [[0.0, 1.0], [0.0, 1.0]], (8, 8))],
+    [
+        ("piecewise2_3", [0.0, 1.0], 64),
+        ("summix", [[0.0, 1.0], [0.0, 1.0]], (8, 8)),
+        # several row blocks, the last one ragged
+        ("piecewise2_3", [0.0, 1.0], 600),
+        ("summix", [[0.0, 1.0], [0.0, 1.0]], (24, 24)),
+    ],
 )
 def test_operator_pass_is_bitwise_the_reference(families, family, bounds, cells):
     yf = families[family]
@@ -273,7 +279,7 @@ def test_operator_pass_is_bitwise_the_reference(families, family, bounds, cells)
     q = kern.quotients(v)
     assert np.count_nonzero(q == 1.0) == 4 and np.count_nonzero(q == -1.0) == 4
 
-    op = _operator_pass(v, yf, kern)
+    op = _operator_pass(v, yf, kern, bands=True)
     # the operator formed from scratch, without the shared pass
     ref = np.sum(yf.slope_odd(q) * kern.wop, axis=1) + _exterior_operator(v, yf, kern)
     assert op.value.tobytes() == ref.tobytes()
@@ -283,7 +289,7 @@ def test_operator_pass_is_bitwise_the_reference(families, family, bounds, cells)
     lam = float(np.dot(2.0 * op.value, v) / np.dot(gv, v))
     # a negative multiplier takes the other one-sided selection
     for lm in (lam, 0.5 * lam, -lam):
-        got = _subdifferential_residual(yf, kern.wop, op, v, lm)
+        got = _subdifferential_residual(yf, op, v, lm)
         assert got == _reference_subdifferential_residual(yf, kern, v, lm)
 
 
