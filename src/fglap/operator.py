@@ -27,20 +27,22 @@ deterministic for a fixed BLAS thread count.  The operator's row sums are
 numpy pairwise sums, but the energy reduces with ``np.dot``, a BLAS call
 whose last bit can depend on the thread count.
 
-The operator, its stationarity bands and the energy run over node pairs in
-blocks of about ``_BLOCK`` elements, so their temporaries stay in cache and
-none of them forms an N x N array per call.  The blocking moves no bit:
-each row sum of the operator and its bands is taken over the whole
-contiguous row, every element sees the same operations in the same order,
-and the energy fills one pair-length vector block by block and reduces it
-with a single ``np.dot``.
+Every pair computation runs over node rows in blocks of about ``_BLOCK``
+elements: the kernel build, the operator and its stationarity bands, the
+energy, the pair samples and tests, and the Newton Hessian in the solver.
+Only the kernel's own arrays are N x N or pair-length: the dense quotient
+scales and operator weights and the energy weights of the pairs i < j,
+20 bytes per node pair.  The blocking moves no bit: every element sees the
+same operations in the same order, each row sum is taken over its whole
+contiguous row, and the energy fills one pair-length vector block by block
+and reduces it with a single ``np.dot``.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -82,23 +84,36 @@ class OperatorParams:
 
 
 class _Kernel:
-    """Precomputed pairwise and exterior geometry for one (grid, params)."""
+    """Precomputed pairwise and exterior geometry for one (grid, params).
+
+    Holds the dense N x N quotient scales ``qs`` = |x_i - x_j|**(-s) and
+    operator weights ``wop`` (both zero on the diagonal) and the energy
+    weights ``pair_wen`` of the pairs i < j in row-major order: 20 bytes per
+    node pair, filled one row block at a time.
+    """
 
     def __init__(self, grid: Grid, params: OperatorParams):
         self.grid = grid
         self.params = params
         s, n, h = params.s, grid.dim, grid.h
         pts = grid.nodes
-        diff = pts[:, None, :] - pts[None, :, :]
-        D = np.sqrt(np.sum(diff * diff, axis=2))
-        np.fill_diagonal(D, 1.0)  # placeholder, masked below
-        self.qs = D**(-s)
-        np.fill_diagonal(self.qs, 0.0)
-        self.wop = h**n * D ** (-(n + s))
-        np.fill_diagonal(self.wop, 0.0)
-        self.iu = np.triu_indices(grid.node_count, k=1)
-        self.pair_qs = self.qs[self.iu]
-        self.pair_wen = 2.0 * h ** (2 * n) * D[self.iu] ** (-n)
+        N = grid.node_count
+        self._tri = _upper_mask(_row_step(N), N)
+        self.qs = np.empty((N, N))
+        self.wop = np.empty((N, N))
+        self.pair_wen = np.empty(N * (N - 1) // 2)
+        at = 0
+        for rows in _row_blocks(N):
+            D = _distances(pts, rows)
+            upper = D[:, rows.start :][self._upper(rows)]
+            self.pair_wen[at : at + len(upper)] = 2.0 * h ** (2 * n) * upper ** (-n)
+            at += len(upper)
+            own = np.arange(rows.stop - rows.start)
+            D[own, rows.start + own] = 1.0  # placeholder, masked below
+            self.qs[rows] = D**(-s)
+            self.qs[rows][own, rows.start + own] = 0.0
+            self.wop[rows] = h**n * D ** (-(n + s))
+            self.wop[rows][own, rows.start + own] = 0.0
         if n == 1:
             a, b = grid.bounds[0]
             x = pts[:, 0]
@@ -113,6 +128,56 @@ class _Kernel:
         """Pair quotients (v_i - v_j) |x_i - x_j|**(-s) for the nodes i in
         rows against every node j, zero on the diagonal."""
         return (v[rows, None] - v[None, :]) * self.qs[rows]
+
+    def _upper(self, rows: slice) -> np.ndarray:
+        """Mask of the pairs i < j in the rectangle rows x [rows.start, N)."""
+        return self._tri[: rows.stop - rows.start, : self.grid.node_count - rows.start]
+
+    def upper_quotients(self, v: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+        """Yield (rows, q) per row block: q holds the quotients of the pairs
+        i < j with i in rows, in row-major order.  Chained over the blocks
+        they run through the pairs in the order of ``pair_wen``."""
+        for rows in _row_blocks(len(v), upper=True):
+            q = (v[rows, None] - v[None, rows.start :]) * self.qs[rows, rows.start :]
+            yield rows, q[self._upper(rows)]
+
+    def pair_nodes(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        """Node indices (i, j) of the pairs in the block of ``rows``, in the
+        order ``upper_quotients`` yields them."""
+        a, c = np.nonzero(self._upper(rows))
+        return rows.start + a, rows.start + c
+
+
+# elements per block of a pair pass (256 KiB of float64): large enough to
+# amortize numpy's per-call cost, small enough to stay in L2 and to keep a
+# block's temporaries from growing and trimming the heap on every block
+# (a 512-cell degiorgi command took 150k minor page faults at twice this
+# size, 22k at this one)
+_BLOCK = 1 << 15
+
+
+def _row_step(N: int) -> int:
+    """Rows per block of a pair pass over N nodes."""
+    return min(N, max(1, _BLOCK // N))
+
+
+def _row_blocks(N: int, upper: bool = False) -> list[slice]:
+    """Row slices of a pair pass over N nodes.  With ``upper`` the last row,
+    which has no pair i < j, is left out, so no block is empty."""
+    end = N - 1 if upper else N
+    step = _row_step(N)
+    return [slice(start, min(start + step, end)) for start in range(0, end, step)]
+
+
+def _upper_mask(rows: int, cols: int) -> np.ndarray:
+    """rows x cols mask of the entries strictly right of the diagonal."""
+    return np.arange(cols)[None, :] > np.arange(rows)[:, None]
+
+
+def _distances(pts: np.ndarray, rows: slice, first: int = 0) -> np.ndarray:
+    """Distances |x_i - x_j| from the nodes i in rows to the nodes j >= first."""
+    diff = pts[rows, None, :] - pts[None, first:, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
 
 
 def _angular_rays(grid: Grid, order: int):
@@ -226,11 +291,6 @@ def _exterior_operator(u: np.ndarray, yf: YoungFunction, kern: _Kernel) -> np.nd
     return out
 
 
-# elements per block of a pair pass (512 KiB of float64): large enough to
-# amortize numpy's per-call cost, small enough to stay in L2
-_BLOCK = 1 << 16
-
-
 def _slope_bands(yf: YoungFunction, t: np.ndarray, g_mid: np.ndarray):
     """One-sided bounds for the odd density slope at t, given g(|t|).
 
@@ -280,12 +340,10 @@ def _operator_pass(
     blocks; with ``bands`` also the row sums of the one-sided slope bands,
     from the same block quotients and densities."""
     N = len(v)
-    step = max(1, _BLOCK // N)
     interior = np.empty(N)
     band_lo = np.empty(N) if bands else None
     band_hi = np.empty(N) if bands else None
-    for start in range(0, N, step):
-        rows = slice(start, start + step)
+    for rows in _row_blocks(N):
         q = kern.quotients(v, rows)
         gq = yf.g(q)
         w = kern.wop[rows]
@@ -317,9 +375,8 @@ def apply_operator(
 def pair_samples(u: DiscreteFunction, params: OperatorParams) -> WeightedSamples:
     """Interior pair quotients as weighted samples (ordered-pair weights)."""
     kern = get_kernel(u.grid, params)
-    v = u.values
-    q = np.abs(v[kern.iu[0]] - v[kern.iu[1]]) * kern.pair_qs
-    return WeightedSamples(q, kern.pair_wen)
+    q = np.concatenate([q for _, q in kern.upper_quotients(u.values)])
+    return WeightedSamples(np.abs(q, out=q), kern.pair_wen)
 
 
 def _energy_scaled(
@@ -327,17 +384,16 @@ def _energy_scaled(
 ) -> float:
     """Modular energy of u / lam from pair quotients plus the Ghat exterior.
 
-    G is evaluated block by block into one pair-length vector, which a
-    single dot product reduces.
+    G is evaluated row block by row block into one pair-length vector,
+    which a single dot product reduces.
     """
-    i0, i1 = kern.iu
-    vals = np.empty(len(i0))
-    for start in range(0, len(i0), _BLOCK):
-        b = slice(start, start + _BLOCK)
-        q = np.abs(u[i0[b]] - u[i1[b]])
-        q *= kern.pair_qs[b]
+    vals = np.empty(len(kern.pair_wen))
+    at = 0
+    for _, q in kern.upper_quotients(u):
+        np.abs(q, out=q)
         q /= lam
-        vals[b] = yf.evaluate(q)
+        vals[at : at + len(q)] = yf.evaluate(q)
+        at += len(q)
     total = float(np.dot(kern.pair_wen, vals))
     nz = u != 0.0
     if np.any(nz):

@@ -35,9 +35,13 @@ import numpy as np
 from .grids import DiscreteFunction, Grid
 from .operator import (
     OperatorParams,
+    _Kernel,
     _Pass,
+    _distances,
     _operator_pass,
+    _row_blocks,
     _slope_bands,
+    _upper_mask,
     apply_operator,
     energy,
     get_kernel,
@@ -239,9 +243,14 @@ def _bump(grid: Grid) -> np.ndarray:
 
 
 def _energy_hessian(
-    grid: Grid, yf: YoungFunction, params: OperatorParams, u: np.ndarray
+    grid: Grid,
+    yf: YoungFunction,
+    params: OperatorParams,
+    u: np.ndarray,
+    out: np.ndarray,
 ) -> np.ndarray:
-    """Dense second derivative of the modular energy at u.
+    """Dense second derivative of the modular energy at u, formed in row
+    blocks and written into the top-left N x N corner of ``out``.
 
     Pair terms use secant density slopes, so a quotient parked on a density
     jump receives a huge curvature entry that pins it in Newton steps; the
@@ -249,15 +258,20 @@ def _energy_hessian(
     """
     kern = get_kernel(grid, params)
     hn = grid.node_weight
-    with np.errstate(divide="ignore"):
-        wfull = hn * kern.wop / np.where(kern.qs > 0, kern.qs, 1.0)
-    np.fill_diagonal(wfull, 0.0)
-    quot = kern.quotients(u)
-    aq = np.abs(quot)
-    dq = 1e-7 * (1.0 + aq)
-    gp = (yf.g(aq + dq) - yf.g(np.maximum(aq - dq, 0.0))) / (2.0 * dq)
-    C = 2.0 * wfull * gp * kern.qs**2
-    H = np.diag(np.sum(C, axis=1)) - C
+    N = len(u)
+    H = out[:N, :N]
+    for rows in _row_blocks(N):
+        qs = kern.qs[rows]
+        wfull = hn * kern.wop[rows] / np.where(qs > 0, qs, 1.0)
+        aq = np.abs(kern.quotients(u, rows))
+        dq = 1e-7 * (1.0 + aq)
+        gp = (yf.g(aq + dq) - yf.g(np.maximum(aq - dq, 0.0))) / (2.0 * dq)
+        C = 2.0 * wfull * gp * qs**2
+        # diag(row sums of C) - C, one row block at a time
+        block = H[rows]
+        np.subtract(0.0, C, out=block)
+        own = np.arange(rows.stop - rows.start)
+        block[own, rows.start + own] = np.sum(C, axis=1) - C[own, rows.start + own]
     x = np.abs(u)[:, None] * kern.ray_scale
     with np.errstate(divide="ignore", invalid="ignore"):
         safe = np.where(x > 0, x, 1.0)
@@ -358,14 +372,15 @@ def _newton_polish(
     for _ in range(_POLISH_STEPS):
         if p.res <= tol:
             break
-        H = _energy_hessian(grid, yf, params, u)
-        K, rhs = H, -hn * p.defect
+        # one matrix: the Hessian, bordered by the normal when there is one
+        K = np.empty((n + 1, n + 1) if p.normal is not None else (n, n))
+        H = _energy_hessian(grid, yf, params, u, K)
+        rhs = -hn * p.defect
         if p.normal is not None:
             bv = hn * p.normal
-            K = np.zeros((n + 1, n + 1))
-            K[:n, :n] = H
             K[:n, n] = bv
             K[n, :n] = bv
+            K[n, n] = 0.0
             rhs = np.concatenate([rhs, [0.0]])
         try:
             delta = np.linalg.solve(K, rhs)[:n]
@@ -465,6 +480,33 @@ def _descend(
     return best[0], best[1], it, history, stall
 
 
+def _crease_direction(kern: _Kernel, v: np.ndarray, p: _Probe) -> Optional[np.ndarray]:
+    """Gradient projected tangent to the sphere and to every quotient parked
+    on a density-jump surface (the first 32 in pair order), so the iterate
+    can slide along the creases that block the plain direction."""
+    A2, gv = p.grad, p.normal
+    normals = []
+    for rows, q in kern.upper_quotients(v):
+        hits = np.nonzero(np.abs(np.abs(q) - 1.0) <= 1e-8)[0][: 32 - len(normals)]
+        if len(hits):
+            i, j = kern.pair_nodes(rows)
+            for m in hits:
+                nvec = np.zeros_like(v)
+                scale = kern.qs[i[m], j[m]] * np.sign(q[m])
+                nvec[i[m]], nvec[j[m]] = scale, -scale
+                normals.append(nvec)
+        if len(normals) == 32:
+            break
+    if not normals:
+        return None
+    B = np.column_stack([gv, *normals])
+    coef, *_ = np.linalg.lstsq(B, A2, rcond=None)
+    d2 = A2 - B @ coef
+    if float(np.dot(d2, d2)) <= 1e-24 * float(np.dot(A2, A2)):
+        return None
+    return d2
+
+
 def solve_eigen(
     grid: Grid,
     yf: YoungFunction,
@@ -518,31 +560,9 @@ def solve_eigen(
         d = A2 - (float(np.dot(A2, gv)) / float(np.dot(gv, gv))) * gv
         return _Probe(res, r, A2, d, 1.0 / max(abs(lam), 1e-12), gv, lam)
 
-    def crease_direction(v: np.ndarray, p: _Probe) -> Optional[np.ndarray]:
-        """Gradient projected tangent to the sphere and to every quotient
-        parked on a density-jump surface, so the iterate can slide along the
-        creases that block the plain direction."""
-        A2, gv = p.grad, p.normal
-        i0, i1 = kern.iu
-        qv = (v[i0] - v[i1]) * kern.pair_qs
-        active = np.nonzero(np.abs(np.abs(qv) - 1.0) <= 1e-8)[0]
-        if len(active) == 0:
-            return None
-        cols = [gv]
-        for m in active[:32]:
-            nvec = np.zeros_like(v)
-            scale = kern.pair_qs[m] * np.sign(qv[m])
-            nvec[i0[m]], nvec[i1[m]] = scale, -scale
-            cols.append(nvec)
-        B = np.column_stack(cols)
-        coef, *_ = np.linalg.lstsq(B, A2, rcond=None)
-        d2 = A2 - B @ coef
-        if float(np.dot(d2, d2)) <= 1e-24 * float(np.dot(A2, A2)):
-            return None
-        return d2
-
     u, p, it, history, stall = _descend(
-        grid, yf, params, u, objective, project, probe, opts, crease_direction
+        grid, yf, params, u, objective, project, probe, opts,
+        lambda v, p: _crease_direction(kern, v, p),
     )
     if p.res <= opts.tol or (
         stall is not None and opts.stagnation_tol is not None and p.res <= opts.stagnation_tol
@@ -835,10 +855,14 @@ def holder_seminorm(u: DiscreteFunction, alpha: float) -> float:
         raise ValueError("Hoelder exponent must lie in (0, 1)")
     grid, v = u.grid, u.values
     pts = grid.nodes
-    diff = pts[:, None, :] - pts[None, :, :]
-    D = np.sqrt(np.sum(diff * diff, axis=2))
-    iu = np.triu_indices(grid.node_count, k=1)
-    best = float(np.max(np.abs(v[iu[0]] - v[iu[1]]) / D[iu] ** alpha))
+    N = grid.node_count
+    tops = []
+    for rows in _row_blocks(N, upper=True):
+        upper = _upper_mask(rows.stop - rows.start, N - rows.start)
+        dv = (v[rows, None] - v[None, rows.start :])[upper]
+        D = _distances(pts, rows, rows.start)[upper]
+        tops.append(np.max(np.abs(dv) / D**alpha))
+    best = float(np.max(tops))
     h = grid.h
     for k in range(grid.dim):
         for side in (0, 1):
@@ -864,11 +888,16 @@ def pair_test_margin(
     kern = get_kernel(u.grid, params)
     s = params.s
     uu, ww = u.values, w.values
-    qu = kern.quotients(uu)
-    qw = kern.quotients(ww)
-    lhs = yf.slope_odd(qu) * qw
-    rhs = yf.p_minus * yf(np.abs(qw))
-    margin = float(np.min((lhs - rhs)[kern.iu]))
+    # one pair-length vector and one min over it: the sign a zero margin
+    # takes depends on the layout the min sees
+    vals = np.empty(len(kern.pair_wen))
+    at = 0
+    for (_, qu), (_, qw) in zip(kern.upper_quotients(uu), kern.upper_quotients(ww)):
+        lhs = yf.slope_odd(qu) * qw
+        lhs -= yf.p_minus * yf(np.abs(qw))
+        vals[at : at + len(lhs)] = lhs
+        at += len(lhs)
+    margin = float(np.min(vals))
     # exterior rays: quotients u_i / d**s and w_i / d**s
     scale = kern.ray_dist ** (-s)
     qu_e = uu[:, None] * scale

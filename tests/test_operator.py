@@ -26,12 +26,13 @@ from fglap import (
     scale_young,
 )
 from fglap.operator import (
-    _BLOCK,
     _HATS,
+    _angular_rays,
     _energy_scaled,
     _hat_table,
     _Kernel,
     _operator_pass,
+    _row_blocks,
     get_kernel,
 )
 from conftest import kink_safe
@@ -454,7 +455,8 @@ def test_pair_samples_weights():
 
 def _reference_energy_scaled(u, yf, kern, lam):
     """The energy formed in one shot over the whole pair vector."""
-    q = np.abs(u[kern.iu[0]] - u[kern.iu[1]]) * kern.pair_qs
+    i0, i1 = np.triu_indices(len(u), k=1)
+    q = np.abs(u[i0] - u[i1]) * kern.qs[i0, i1]
     total = float(np.dot(kern.pair_wen, yf.evaluate(q / lam)))
     nz = u != 0.0
     if np.any(nz):
@@ -476,8 +478,10 @@ def test_blocked_energy_is_bitwise_the_reference(families, family, bounds, cells
     grid = Grid.build(bounds, cells)
     params = OperatorParams(s=0.4)
     kern = get_kernel(grid, params)
-    # three pair blocks, the last one ragged
-    assert 2 * _BLOCK < len(kern.pair_qs) < 3 * _BLOCK
+    # more than two row blocks of pairs, the last one ragged
+    blocks = _row_blocks(grid.node_count, upper=True)
+    assert len(blocks) > 2
+    assert blocks[-1].stop - blocks[-1].start < blocks[0].stop - blocks[0].start
     v = np.random.default_rng(11).standard_normal(grid.node_count)
     got = energy(DiscreteFunction(grid, v), yf, params)
     assert got.hex() == _reference_energy_scaled(v, yf, kern, 1.0).hex()
@@ -504,7 +508,79 @@ def test_pair_passes_stay_within_block_memory(families):
         tracemalloc.stop()
     # half of one N x N float64 array, and two pair-length vectors
     assert pass_peak < N * N * 8 // 2
-    assert energy_peak < 2 * 8 * len(kern.pair_qs)
+    assert energy_peak < 2 * 8 * (N * (N - 1) // 2)
+
+
+def _reference_kernel_arrays(grid, params):
+    """qs, wop and pair_wen built in one shot from the full distance matrix."""
+    s, n, h = params.s, grid.dim, grid.h
+    pts = grid.nodes
+    diff = pts[:, None, :] - pts[None, :, :]
+    D = np.sqrt(np.sum(diff * diff, axis=2))
+    np.fill_diagonal(D, 1.0)
+    qs = D**(-s)
+    np.fill_diagonal(qs, 0.0)
+    wop = h**n * D ** (-(n + s))
+    np.fill_diagonal(wop, 0.0)
+    iu = np.triu_indices(grid.node_count, k=1)
+    pair_wen = 2.0 * h ** (2 * n) * D[iu] ** (-n)
+    return qs, wop, pair_wen
+
+
+# several row blocks each, the last one ragged
+_MULTI_BLOCK_GRIDS = [([0.0, 1.0], 600), ([[0.0, 1.0], [0.0, 1.0]], (24, 24))]
+
+
+@pytest.mark.parametrize("bounds, cells", _MULTI_BLOCK_GRIDS)
+def test_streamed_kernel_is_bitwise_the_one_shot_build(bounds, cells):
+    grid = Grid.build(bounds, cells)
+    params = OperatorParams(s=0.4)
+    blocks = _row_blocks(grid.node_count)
+    assert len(blocks) > 2
+    assert blocks[-1].stop - blocks[-1].start < blocks[0].stop - blocks[0].start
+    kern = _Kernel(grid, params)
+    for got, ref in zip((kern.qs, kern.wop, kern.pair_wen), _reference_kernel_arrays(grid, params)):
+        assert got.tobytes() == ref.tobytes()
+    if grid.dim == 1:
+        (a, b), x = grid.bounds[0], grid.nodes[:, 0]
+        ray_dist = np.column_stack([x - a, b - x])
+        ray_w = np.ones_like(ray_dist)
+    else:
+        ray_dist, ray_w = _angular_rays(grid, params.theta_order)
+    assert kern.ray_dist.tobytes() == ray_dist.tobytes()
+    assert kern.ray_w.tobytes() == ray_w.tobytes()
+    assert kern.ray_scale.tobytes() == (ray_dist ** (-params.s)).tobytes()
+
+
+@pytest.mark.parametrize("bounds, cells", _MULTI_BLOCK_GRIDS)
+def test_pair_samples_are_bitwise_the_triu_form(bounds, cells):
+    grid = Grid.build(bounds, cells)
+    params = OperatorParams(s=0.4)
+    kern = get_kernel(grid, params)
+    v = np.random.default_rng(13).standard_normal(grid.node_count)
+    i0, i1 = np.triu_indices(grid.node_count, k=1)
+    ref = np.abs(v[i0] - v[i1]) * kern.qs[i0, i1]
+    samples = pair_samples(DiscreteFunction(grid, v), params)
+    assert samples.values.tobytes() == ref.tobytes()
+    assert samples.weights is kern.pair_wen
+
+
+def test_kernel_build_streams_in_row_blocks():
+    grid = Grid.build([0.0, 1.0], 2000)
+    tracemalloc.start()
+    try:
+        # built directly so the session's kernel cache does not keep it
+        kern = _Kernel(grid, OperatorParams(s=0.4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    resident = sum(a.nbytes for a in vars(kern).values() if isinstance(a, np.ndarray))
+    # 20 bytes per node pair: qs, wop and the energy weights of the pairs i < j
+    N = grid.node_count
+    assert kern.qs.nbytes + kern.wop.nbytes + kern.pair_wen.nbytes == 8 * (
+        2 * N * N + N * (N - 1) // 2
+    )
+    assert peak < resident + 4 * 1024 * 1024
 
 
 def test_hat_cache_lives_with_its_growth_function():

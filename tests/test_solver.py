@@ -1,5 +1,7 @@
 """Eigen and semilinear solves, modular normalization, truncation traces."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -34,9 +36,20 @@ from fglap import (
     sup_norm,
     truncation_energy_report,
 )
-from fglap.operator import _exterior_operator, _operator_pass, get_kernel
-from fglap.solver import _subdifferential_residual
-from test_operator import dense_linear_matrix_1d, linear_family
+from fglap.operator import (
+    _KERNELS,
+    _exterior_operator,
+    _hat_table,
+    _operator_pass,
+    get_kernel,
+)
+from fglap.solver import (
+    _Probe,
+    _crease_direction,
+    _energy_hessian,
+    _subdifferential_residual,
+)
+from test_operator import _MULTI_BLOCK_GRIDS, dense_linear_matrix_1d, linear_family
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +304,163 @@ def test_operator_pass_is_bitwise_the_reference(families, family, bounds, cells)
     for lm in (lam, 0.5 * lam, -lam):
         got = _subdifferential_residual(yf, op, v, lm)
         assert got == _reference_subdifferential_residual(yf, kern, v, lm)
+
+
+def _parked(kern, seed):
+    """Random nodal values with 49 pair quotients parked on |q| = 1 to
+    within rounding, where the density of piecewise2_3 jumps, in three row
+    blocks: each row i below gets v[i] = 0 and partners k > i."""
+    N = kern.grid.node_count
+    v = np.random.default_rng(seed).standard_normal(N)
+    for i, partners in ((0, range(1, 21)), (300, range(301, 321)), (N - 10, range(N - 9, N))):
+        v[i] = 0.0
+        for k in partners:
+            v[k] = 1.0 / kern.qs[i, k]
+    return v
+
+
+def _reference_energy_hessian(grid, yf, params, u):
+    """The energy Hessian formed densely in one shot."""
+    kern = get_kernel(grid, params)
+    hn = grid.node_weight
+    with np.errstate(divide="ignore"):
+        wfull = hn * kern.wop / np.where(kern.qs > 0, kern.qs, 1.0)
+    np.fill_diagonal(wfull, 0.0)
+    quot = kern.quotients(u)
+    aq = np.abs(quot)
+    dq = 1e-7 * (1.0 + aq)
+    gp = (yf.g(aq + dq) - yf.g(np.maximum(aq - dq, 0.0))) / (2.0 * dq)
+    C = 2.0 * wfull * gp * kern.qs**2
+    H = np.diag(np.sum(C, axis=1)) - C
+    x = np.abs(u)[:, None] * kern.ray_scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        safe = np.where(x > 0, x, 1.0)
+        hpp = np.where(x > 0, (yf.g(x) - yf(x) / safe) / safe, 0.0)
+    ext_diag = (2.0 * hn / params.s) * np.sum(
+        kern.ray_w * kern.ray_scale**2 * hpp, axis=1
+    )
+    H[np.diag_indices_from(H)] += ext_diag
+    return H
+
+
+@pytest.mark.parametrize("bounds, cells", _MULTI_BLOCK_GRIDS)
+def test_blocked_hessian_is_bitwise_the_dense_one(families, bounds, cells):
+    yf = families["piecewise2_3"]
+    grid = Grid.build(bounds, cells)
+    params = OperatorParams(s=0.4)
+    v = _parked(get_kernel(grid, params), 17)
+    ref = _reference_energy_hessian(grid, yf, params, v)
+    N = grid.node_count
+    H = _energy_hessian(grid, yf, params, v, np.empty((N, N)))
+    assert H.tobytes() == ref.tobytes()
+    # written into the corner of a bordered matrix, the border untouched
+    K = np.full((N + 1, N + 1), 7.0)
+    _energy_hessian(grid, yf, params, v, K)
+    assert K[:N, :N].tobytes() == ref.tobytes()
+    assert np.all(K[N] == 7.0) and np.all(K[:, N] == 7.0)
+
+
+def test_energy_hessian_stays_within_two_matrices(families):
+    yf = families["piecewise2_3"]
+    grid = Grid.build([0.0, 1.0], 1000)
+    params = OperatorParams(s=0.4)
+    v = np.random.default_rng(23).standard_normal(grid.node_count)
+    get_kernel(grid, params)  # the kernel build is not the Hessian's cost
+    _hat_table(yf)
+    N = grid.node_count
+    tracemalloc.start()
+    try:
+        _energy_hessian(grid, yf, params, v, np.empty((N, N)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        _KERNELS.pop((grid.key, params.s, params.theta_order))
+    assert peak < 2 * N * N * 8
+
+
+def _reference_crease_direction(kern, v, A2, gv):
+    """The crease slide direction over the triu_indices pair vector."""
+    i0, i1 = np.triu_indices(len(v), k=1)
+    pair_qs = kern.qs[i0, i1]
+    qv = (v[i0] - v[i1]) * pair_qs
+    active = np.nonzero(np.abs(np.abs(qv) - 1.0) <= 1e-8)[0]
+    if len(active) == 0:
+        return None
+    cols = [gv]
+    for m in active[:32]:
+        nvec = np.zeros_like(v)
+        scale = pair_qs[m] * np.sign(qv[m])
+        nvec[i0[m]], nvec[i1[m]] = scale, -scale
+        cols.append(nvec)
+    B = np.column_stack(cols)
+    coef, *_ = np.linalg.lstsq(B, A2, rcond=None)
+    d2 = A2 - B @ coef
+    if float(np.dot(d2, d2)) <= 1e-24 * float(np.dot(A2, A2)):
+        return None
+    return d2
+
+
+@pytest.mark.parametrize("bounds, cells", _MULTI_BLOCK_GRIDS)
+def test_crease_direction_is_bitwise_the_triu_form(families, bounds, cells):
+    yf = families["piecewise2_3"]
+    grid = Grid.build(bounds, cells)
+    params = OperatorParams(s=0.4)
+    kern = get_kernel(grid, params)
+    parked = _parked(kern, 29)
+    # unparked, parked beyond the 32-crease cap, and parked below it
+    below = parked.copy()
+    below[1:21] = np.random.default_rng(31).standard_normal(20)
+    for v in (np.random.default_rng(29).standard_normal(grid.node_count), parked, below):
+        A2 = 2.0 * _operator_pass(v, yf, kern, bands=False).value
+        gv = yf.slope_odd(v)
+        p = _Probe(0.0, A2, A2, A2, 1.0, gv, 1.0)
+        got = _crease_direction(kern, v, p)
+        ref = _reference_crease_direction(kern, v, A2, gv)
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("bounds, cells", _MULTI_BLOCK_GRIDS)
+def test_pair_test_margin_is_bitwise_the_triu_form(families, bounds, cells):
+    grid = Grid.build(bounds, cells)
+    params = OperatorParams(s=0.4)
+    kern = get_kernel(grid, params)
+    rng = np.random.default_rng(37)
+    iu = np.triu_indices(grid.node_count, k=1)
+    for name in ("piecewise2_3", "summix"):
+        yf = families[name]
+        u = DiscreteFunction(grid, rng.standard_normal(grid.node_count))
+        # many pairs with w = 0 at both ends, so zero margins of both signs
+        w = u.with_values(np.maximum(u.values - 0.3, 0.0))
+        qu = kern.quotients(u.values)
+        qw = kern.quotients(w.values)
+        lhs = yf.slope_odd(qu) * qw
+        rhs = yf.p_minus * yf(np.abs(qw))
+        ref = float(np.min((lhs - rhs)[iu]))
+        scale = kern.ray_dist ** (-params.s)
+        qu_e = u.values[:, None] * scale
+        qw_e = w.values[:, None] * scale
+        ext = yf.slope_odd(qu_e) * qw_e - yf.p_minus * yf(np.abs(qw_e))
+        ref = min(ref, float(np.min(ext)))
+        assert pair_test_margin(u, w, yf, params).hex() == ref.hex(), name
+
+
+@pytest.mark.parametrize("bounds, cells", _MULTI_BLOCK_GRIDS)
+def test_holder_seminorm_is_bitwise_the_triu_form(bounds, cells):
+    grid = Grid.build(bounds, cells)
+    v = np.random.default_rng(41).standard_normal(grid.node_count)
+    pts = grid.nodes
+    diff = pts[:, None, :] - pts[None, :, :]
+    D = np.sqrt(np.sum(diff * diff, axis=2))
+    iu = np.triu_indices(grid.node_count, k=1)
+    for alpha in (0.25, 0.5):
+        interior = float(np.max(np.abs(v[iu[0]] - v[iu[1]]) / D[iu] ** alpha))
+        # with values this rough the boundary layer does not set the sup
+        boundary = float(np.max(np.abs(v))) / grid.h**alpha
+        assert interior > boundary
+        got = holder_seminorm(DiscreteFunction(grid, v), alpha)
+        assert got.hex() == interior.hex()
 
 
 def test_eigen_rejects_bad_level():
