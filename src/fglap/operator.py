@@ -41,6 +41,7 @@ and reduces it with a single ``np.dot``.
 from __future__ import annotations
 
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
@@ -217,14 +218,22 @@ def _angular_rays(grid: Grid, order: int):
     return dist, wout
 
 
-_KERNELS: dict[tuple, _Kernel] = {}
+# least recently used kernels beyond this count are dropped; one verify
+# command builds 6, and a long --refine ladder keeps only its last levels
+_KERNEL_CAPACITY = 8
+_KERNELS: "OrderedDict[tuple, _Kernel]" = OrderedDict()
 
 
 def get_kernel(grid: Grid, params: OperatorParams) -> _Kernel:
     key = (grid.key, params.s, params.theta_order)
-    if key not in _KERNELS:
-        _KERNELS[key] = _Kernel(grid, params)
-    return _KERNELS[key]
+    kern = _KERNELS.get(key)
+    if kern is None:
+        kern = _KERNELS[key] = _Kernel(grid, params)
+        if len(_KERNELS) > _KERNEL_CAPACITY:
+            _KERNELS.popitem(last=False)
+    else:
+        _KERNELS.move_to_end(key)
+    return kern
 
 
 # tabulated primitive Ghat(x) = int_0^x G(sigma)/sigma dsigma per growth

@@ -49,6 +49,7 @@ from .operator import (
 from .young import (
     WeightedSamples,
     YoungFunction,
+    _replay_bisection,
     modular,
     sequence_threshold,
     sobolev_conjugate,
@@ -190,6 +191,13 @@ def _modular_scale(values: np.ndarray, weight: float, yf: YoungFunction, mu: flo
     The bracket comes from the index sandwich: with r = modular / mu the
     scale lies between r**(1/p_plus) and r**(1/p_minus) (order swapped for
     r < 1); a hair of slack covers families with sampled index bounds.
+
+    The result is the bisection's own bits: :func:`_replay_bisection` skips
+    only midpoints outside a window whose ends clear mu by a relative margin
+    of 8 eps (4 + p_plus + log2 N).  That is at least twice the rounding
+    error of the modular: eps/2 per quotient times the elasticity, a few
+    ulps per G, and eps/2 per addition along numpy's pairwise sum, at most
+    about 20 + log2 N of them.
     """
     absv = np.abs(values)
 
@@ -211,15 +219,18 @@ def _modular_scale(values: np.ndarray, weight: float, yf: YoungFunction, mu: flo
     # bisect to the floating-point floor: downstream line searches compare
     # energies whose differences can sit near machine precision, so the
     # renormalization must not inject rounding noise of its own
-    for _ in range(110):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if mod(mid) > mu:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    margin = 8.0 * np.finfo(float).eps * (4.0 + yf.p_plus + np.log2(len(absv)))
+    return _replay_bisection(
+        mod,
+        lo,
+        hi,
+        steps=110,
+        decide=lambda v: 1 if v > mu else -1,
+        upper=mu * (1.0 + margin),
+        lower=mu * (1.0 - margin),
+        seeds=((lo, flo), (hi, fhi)),
+        adjacent_stop=True,
+    )
 
 
 def normalize_to_modular(u: DiscreteFunction, yf: YoungFunction, mu: float) -> DiscreteFunction:

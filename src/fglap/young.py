@@ -28,6 +28,7 @@ read-only and safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -408,11 +409,16 @@ def normalize_young(yf: YoungFunction) -> YoungFunction:
 def _bisect_increasing(fn, target, *, iters: int = 110, max_expand: int = 400):
     """Solve fn(t) = target for nondecreasing fn with fn(0) = 0, fn -> inf.
 
-    Vectorized bracket expansion followed by fixed-count geometric bisection,
-    which keeps the result accurate in relative terms across hundreds of
-    orders of magnitude.  At jump discontinuities of fn the iteration
-    converges to the jump location, the right-continuous generalized
-    inverse.
+    Vectorized bracket expansion followed by up to ``iters`` steps of
+    geometric bisection, which keeps the result accurate in relative terms
+    across hundreds of orders of magnitude.  At jump discontinuities of fn
+    the iteration converges to the jump location, the right-continuous
+    generalized inverse.
+
+    The loop ends early once a step leaves every bracket unchanged: the
+    step is a deterministic map of (lo, hi), so all remaining steps would
+    repeat that state, and the result is the full ``iters``-step
+    bisection's own bits.
     """
     y = np.asarray(target, dtype=float)
     scalar = y.ndim == 0
@@ -437,8 +443,11 @@ def _bisect_increasing(fn, target, *, iters: int = 110, max_expand: int = 400):
     for _ in range(iters):
         mid = np.sqrt(lo * hi)
         left = np.asarray(fn(mid)) < y
-        lo = np.where(left, mid, lo)
-        hi = np.where(left, hi, mid)
+        new_lo = np.where(left, mid, lo)
+        new_hi = np.where(left, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     out = np.sqrt(lo * hi)
     out[y == 0.0] = 0.0
     return float(out[0]) if scalar else out
@@ -748,6 +757,105 @@ def modular(yf: YoungFunction, u: WeightedSamples) -> float:
     return float(np.dot(u.weights, yf(np.abs(u.values))))
 
 
+_SECANT_EVALS = 12  # evaluations spent looking for a certified window
+
+
+def _replay_bisection(
+    value: Callable[[float], float],
+    lo: float,
+    hi: float,
+    *,
+    steps: int,
+    decide: Callable[[float], int],
+    upper: float,
+    lower: float,
+    seeds: Sequence[tuple[float, float]],
+    adjacent_stop: bool = False,
+) -> float:
+    """Result of ``steps`` midpoint-bisection steps on a decreasing map.
+
+    The bisection replayed here starts from (lo, hi) and repeats
+    ``mid = 0.5 * (lo + hi)``, stopping first if ``adjacent_stop`` is set and
+    mid equals lo or hi, then moves lo to mid when ``decide(value(mid))`` is
+    positive, hi to mid when it is negative, and returns mid when it is 0.
+    After the last step it returns ``0.5 * (lo + hi)``.
+
+    Log-log secant steps from the evaluated ``seeds`` first look for a
+    window [a, b] around the crossing whose ends are certified:
+    value(a) > upper and value(b) < lower.  The caller places ``upper`` and
+    ``lower`` beyond its decision thresholds by a relative margin well above
+    the rounding error of one evaluation, so by monotonicity every midpoint
+    <= a decides positive and every midpoint >= b decides negative.  Only
+    midpoints inside the window are evaluated, and the result is the
+    bisection's own bits.  A side without a certified end keeps the whole
+    bracket, so every midpoint on it is evaluated; no branch is guessed.
+    """
+    a, b = -math.inf, math.inf  # certified window ends
+    log_a = log_b = math.nan  # log values there
+    model = []  # evaluated (x, log x, log value) with a finite positive value
+
+    def note(x, v):
+        nonlocal a, b, log_a, log_b
+        if v > upper and x > a:
+            a, log_a = x, math.log(v)
+        elif v < lower and x < b:
+            b, log_b = x, (math.log(v) if v > 0 else -math.inf)
+        if 0.0 < v < math.inf and x > 0.0:
+            model.append((x, math.log(x), math.log(v)))
+
+    for x, v in seeds:
+        note(x, v)
+    log_up, log_low = math.log(upper), math.log(lower)
+    gap = 0.5 * (log_up - log_low)
+    for _ in range(_SECANT_EVALS):
+        up_tight = log_a <= log_up + 3.0 * gap
+        low_tight = log_b >= log_low - 3.0 * gap
+        if (up_tight and low_tight) or len(model) < 2:
+            break
+        (_, lx0, ly0), (x1, lx1, ly1) = model[-2], model[-1]
+        if lx1 == lx0:
+            break
+        slope = (ly1 - ly0) / (lx1 - lx0)
+        if not slope < 0.0:
+            break
+        # aim just beyond the threshold on a side still loose, the side
+        # opposite the last point when both are, so the points straddle
+        if low_tight or (not up_tight and ly1 < log_up):
+            aim = log_up + gap
+        else:
+            aim = log_low - gap
+        left, right = max(a, lo), min(b, hi)
+        x = math.exp(min(lx1 + (aim - ly1) / slope, 709.0))
+        if not left < x < right:
+            x = math.sqrt(left * right)
+        if x == x1 or not left < x < right:
+            break
+        note(x, value(x))
+
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if adjacent_stop and (mid == lo or mid == hi):
+            break
+        if mid <= a:
+            d = 1
+        elif mid >= b:
+            d = -1
+        else:
+            d = decide(value(mid))
+        if d == 0:
+            return mid
+        if d > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+# relative margin beyond 1 +- tol that certifies a Luxemburg window end: it
+# clears the rounding of a modular summed over millions of terms
+_LUXEMBURG_MARGIN = 1e-12
+
+
 def luxemburg_scale(
     modular_of_scaled: Callable[[float], float],
     *,
@@ -756,13 +864,18 @@ def luxemburg_scale(
 ) -> float:
     """Smallest lam with modular(u/lam) <= 1 for a strictly decreasing map.
 
-    ``modular_of_scaled(lam)`` must return the modular of u/lam.  Returns the
-    bisected lam with |modular - 1| <= tol.
+    ``modular_of_scaled(lam)`` must return the modular of u/lam, computed to
+    rounding accuracy.  Returns the bisected lam with |modular - 1| <= tol,
+    bit for bit the lam of plain midpoint bisection from the doubling
+    bracket.  The bisection path stays the definition of the result;
+    :func:`_replay_bisection` only skips the evaluations whose branch is
+    certified by a window end beyond 1 +- tol.
     """
     lam = 1.0
     val = modular_of_scaled(lam)
     if val > 1.0:
         for _ in range(max_expand):
+            prev = val
             lam *= 2.0
             val = modular_of_scaled(lam)
             if val <= 1.0:
@@ -770,8 +883,10 @@ def luxemburg_scale(
         else:
             raise BracketError("no upper bracket for the Luxemburg scale")
         lo, hi = lam / 2.0, lam
+        seeds = ((lo, prev), (hi, val))
     else:
         for _ in range(max_expand):
+            prev = val
             lam /= 2.0
             if lam < 1e-300:
                 return 0.0
@@ -781,16 +896,23 @@ def luxemburg_scale(
         else:
             return 0.0
         lo, hi = lam, lam * 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = modular_of_scaled(mid)
-        if abs(val - 1.0) <= tol:
-            return mid
-        if val > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        seeds = ((hi, prev), (lo, val))
+
+    def decide(v):
+        if abs(v - 1.0) <= tol:
+            return 0
+        return 1 if v > 1.0 else -1
+
+    return _replay_bisection(
+        modular_of_scaled,
+        lo,
+        hi,
+        steps=200,
+        decide=decide,
+        upper=(1.0 + tol) * (1.0 + _LUXEMBURG_MARGIN),
+        lower=(1.0 - tol) * (1.0 - _LUXEMBURG_MARGIN),
+        seeds=seeds,
+    )
 
 
 def luxemburg_norm(yf: YoungFunction, u: WeightedSamples) -> float:

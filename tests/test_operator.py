@@ -32,10 +32,13 @@ from fglap.operator import (
     _hat_table,
     _Kernel,
     _operator_pass,
+    _KERNEL_CAPACITY,
+    _KERNELS,
     _row_blocks,
     get_kernel,
 )
 from conftest import kink_safe
+from test_young import _reference_luxemburg_scale
 
 
 def linear_family():
@@ -385,6 +388,20 @@ def test_seminorm_unit_energy(families):
         assert energy(u.scaled(1.0 / lam), yf, params) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_seminorm_is_bitwise_the_plain_bisection(families):
+    # the energy's blocked BLAS reduction is the noisiest modular the
+    # Luxemburg scale sees; 1D and 2D, several row blocks in 1D
+    rng = np.random.default_rng(17)
+    for bounds, cells in (([0.0, 1.0], 300), ([[0.0, 1.0], [0.0, 1.0]], (12, 12))):
+        grid = Grid.build(bounds, cells)
+        params = OperatorParams(s=0.5)
+        kern = get_kernel(grid, params)
+        for yf in families.values():
+            u = rng.standard_normal(grid.node_count) * 10.0 ** rng.uniform(-2.0, 2.0)
+            ref = _reference_luxemburg_scale(lambda lam: _energy_scaled(u, yf, kern, lam))
+            assert gagliardo_seminorm(DiscreteFunction(grid, u), yf, params) == ref
+
+
 def test_modular_controls_seminorm(families):
     # when the energy is at least one, the seminorm is controlled by its
     # p_minus-th root
@@ -581,6 +598,20 @@ def test_kernel_build_streams_in_row_blocks():
         2 * N * N + N * (N - 1) // 2
     )
     assert peak < resident + 4 * 1024 * 1024
+
+
+def test_kernel_cache_keeps_the_most_recently_used():
+    params = OperatorParams(s=0.4)
+    grids = [Grid.build([0.0, 1.0], 5 + k) for k in range(_KERNEL_CAPACITY + 1)]
+    first = get_kernel(grids[0], params)
+    for grid in grids[1:-1]:
+        get_kernel(grid, params)
+    assert get_kernel(grids[0], params) is first  # a hit refreshes its entry
+    get_kernel(grids[-1], params)
+    assert len(_KERNELS) == _KERNEL_CAPACITY
+    # capacity + 1 distinct kernels: the least recently used one is gone
+    assert (grids[1].key, 0.4, params.theta_order) not in _KERNELS
+    assert get_kernel(grids[0], params) is first
 
 
 def test_hat_cache_lives_with_its_growth_function():

@@ -1,6 +1,7 @@
 """Eigen and semilinear solves, modular normalization, truncation traces."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,10 +44,12 @@ from fglap.operator import (
     _operator_pass,
     get_kernel,
 )
+from fglap import solver
 from fglap.solver import (
     _Probe,
     _crease_direction,
     _energy_hessian,
+    _modular_scale,
     _subdifferential_residual,
 )
 from test_operator import _MULTI_BLOCK_GRIDS, dense_linear_matrix_1d, linear_family
@@ -96,6 +99,95 @@ def test_normalize_rejects_zero():
     grid = Grid.build([0.0, 1.0], 8)
     with pytest.raises(ValueError):
         normalize_to_modular(DiscreteFunction(grid, np.zeros(8)), G, 1.0)
+
+
+def _reference_modular_scale(values, weight, yf, mu):
+    """Index-sandwich bracket, then a modular evaluation at every bisection
+    step down to adjacent floats."""
+    absv = np.abs(values)
+
+    def mod(c):
+        return weight * float(np.sum(yf(absv / c)))
+
+    r = mod(1.0) / mu
+    br = sorted((r ** (1.0 / yf.p_plus), r ** (1.0 / yf.p_minus)))
+    lo, hi = br[0] * (1.0 - 1e-9), br[1] * (1.0 + 1e-9)
+    flo, fhi = mod(lo), mod(hi)
+    for _ in range(200):
+        if flo >= mu >= fhi:
+            break
+        lo *= 0.5
+        hi *= 2.0
+        flo, fhi = mod(lo), mod(hi)
+    for _ in range(110):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if mod(mid) > mu:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _counting(yf, calls):
+    def ev(t):
+        calls.append(len(t))
+        return yf.evaluate(t)
+
+    return replace(yf, evaluate=ev)
+
+
+def test_modular_scale_is_bitwise_the_plain_bisection(families):
+    rng = np.random.default_rng(59)
+    for name, yf in families.items():
+        for _ in range(40):
+            n = int(rng.integers(1, 1200))
+            v = rng.standard_normal(n) * 10.0 ** rng.uniform(-4.0, 4.0)
+            # values near 1, where piecewise2_3 and powerlog3 change exponent
+            v[: n // 2] = rng.choice([-1.0, 1.0], n // 2) * rng.uniform(0.9, 1.1, n // 2)
+            weight, mu = 10.0 ** rng.uniform(-3.0, 0.0), 10.0 ** rng.uniform(-3.0, 3.0)
+            got = _modular_scale(v, weight, yf, mu)
+            assert got == _reference_modular_scale(v, weight, yf, mu), name
+
+
+def test_modular_scale_is_bitwise_on_ladder_iterates(families, monkeypatch):
+    """Every projection of the first 60 iterations of the 24-node ladder
+    solve verify runs (piecewise2_3, s = 0.5, mu = 1)."""
+    yf = families["piecewise2_3"]
+    seen = []
+
+    def capture(values, weight, g, mu):
+        seen.append((values.copy(), weight, mu))
+        return _modular_scale(values, weight, g, mu)
+
+    monkeypatch.setattr(solver, "_modular_scale", capture)
+    with pytest.raises(ConvergenceError):
+        solve_eigen(
+            Grid.build([0.0, 1.0], 24),
+            yf,
+            OperatorParams(s=0.5),
+            1.0,
+            SolveOptions(tol=2e-6, max_iter=60, stagnation_tol=5e-3),
+        )
+    assert len(seen) == 193
+    for values, weight, mu in seen:
+        assert _modular_scale(values, weight, yf, mu) == _reference_modular_scale(
+            values, weight, yf, mu
+        )
+
+
+def test_modular_scale_evaluation_count(families):
+    """A pinned count on the solver's seed: a silent fall back to the full
+    bisection path would show here, not in the bits."""
+    grid = Grid.build([0.0, 1.0], 24)
+    u = solver._bump(grid)
+    calls = []
+    yf = _counting(families["piecewise2_3"], calls)
+    got = _modular_scale(u, grid.node_weight, yf, 1.0)
+    assert len(calls) == 17
+    assert got == _reference_modular_scale(u, grid.node_weight, yf, 1.0)
+    assert len(calls) == 17 + 55  # the plain bisection's own count
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +357,9 @@ def _reference_subdifferential_residual(yf, kern, v, lam):
     return sup_dist(0.5 * (lo + hi))
 
 
+_PARK_STEPS = 16  # ulp steps allowed when parking a quotient on |q| = 1
+
+
 @pytest.mark.parametrize(
     "family, bounds, cells",
     [
@@ -284,9 +379,15 @@ def test_operator_pass_is_bitwise_the_reference(families, family, bounds, cells)
     # park the quotients of pairs (0, k) exactly on |q| = 1, where the
     # density of piecewise2_3 jumps
     v[0] = 0.0
+    # for some pairs no float x gives x * qs == 1.0, so the ulp walk is
+    # capped and such a pair fails by name instead of looping forever
     for k in (1, 3, 7, grid.node_count - 1):
         x = 1.0 / kern.qs[0, k]
+        steps = 0
         while x * kern.qs[0, k] != 1.0:
+            steps += 1
+            if steps > _PARK_STEPS:
+                pytest.fail(f"pair (0, {k}) does not park on |q| = 1 in {_PARK_STEPS} steps")
             x = np.nextafter(x, np.inf if x * kern.qs[0, k] < 1.0 else -np.inf)
         v[k] = x
     q = kern.quotients(v)

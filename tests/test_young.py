@@ -27,7 +27,8 @@ from fglap import (
     sobolev_conjugate,
     young_from_config,
 )
-from fglap.young import check_young_wellformed
+from fglap import young
+from fglap.young import _bisect_increasing, check_young_wellformed, luxemburg_scale
 
 
 # ---------------------------------------------------------------------------
@@ -515,3 +516,150 @@ def test_scale_and_normalize():
         scale_young(make_power(2.0), 0.0)
     N = normalize_young(combine("sum", [make_power(2.0), make_power(3.0)]))
     assert N(1.0) == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# root finds: bit for bit the plain bisections they shortcut
+# ---------------------------------------------------------------------------
+
+
+def _reference_bisect_increasing(fn, target, *, iters=110, max_expand=400):
+    """The fixed-count geometric bisection, every one of its steps taken."""
+    y = np.atleast_1d(np.asarray(target, dtype=float)).astype(float)
+    lo = np.full_like(y, 1e-300)
+    hi = np.ones_like(y)
+    short = np.asarray(fn(hi)) < y
+    for _ in range(max_expand):
+        if not short.any():
+            break
+        lo[short] = hi[short]
+        hi[short] *= 8.0
+        short = np.asarray(fn(hi)) < y
+    for _ in range(iters):
+        mid = np.sqrt(lo * hi)
+        left = np.asarray(fn(mid)) < y
+        lo = np.where(left, mid, lo)
+        hi = np.where(left, hi, mid)
+    out = np.sqrt(lo * hi)
+    out[y == 0.0] = 0.0
+    return out
+
+
+def _reference_luxemburg_scale(modular_of_scaled, *, tol=1e-11, max_expand=2000):
+    """Doubling bracket, then a midpoint evaluation at every bisection step."""
+    lam = 1.0
+    val = modular_of_scaled(lam)
+    if val > 1.0:
+        for _ in range(max_expand):
+            lam *= 2.0
+            val = modular_of_scaled(lam)
+            if val <= 1.0:
+                break
+        lo, hi = lam / 2.0, lam
+    else:
+        for _ in range(max_expand):
+            lam /= 2.0
+            if lam < 1e-300:
+                return 0.0
+            val = modular_of_scaled(lam)
+            if val > 1.0:
+                break
+        else:
+            return 0.0
+        lo, hi = lam, lam * 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        val = modular_of_scaled(mid)
+        if abs(val - 1.0) <= tol:
+            return mid
+        if val > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _bisection_targets(fn, rng):
+    # jump crossings: every target between the one-sided limits of a density
+    # jump at t = 1 lands on the jump itself
+    below, above = float(fn(np.array([1.0 - 1e-12]))[0]), float(fn(np.array([1.0]))[0])
+    return np.concatenate(
+        [
+            [0.0, 5e-324, 1e-310, 1e-300, 0.5 * float(fn(np.array([1e-300]))[0])],
+            # beyond fn(1) the bracket expands; roots stay below 1e150, where
+            # the product lo * hi of the geometric midpoint would overflow
+            10.0 ** rng.uniform(-30.0, 30.0, 200),
+            np.linspace(below, above, 9),
+        ]
+    )
+
+
+def test_bisect_increasing_is_bitwise_the_fixed_count_loop(families):
+    rng = np.random.default_rng(41)
+    for name, yf in families.items():
+        for fn in (yf.evaluate, yf.derivative):
+            y = _bisection_targets(fn, rng)
+            got = _bisect_increasing(fn, y)
+            assert got.tobytes() == _reference_bisect_increasing(fn, y).tobytes(), name
+            assert _bisect_increasing(fn, y[7]) == _reference_bisect_increasing(fn, y[7])[0]
+
+
+def test_double_conjugate_is_bitwise_the_fixed_count_loop(families, monkeypatch):
+    t = 10.0 ** np.random.default_rng(43).uniform(-3.0, 3.0, 25)
+    t = np.concatenate([t, [1.0, 2.0, 3.0, 4.0]])  # the jumps of the densities
+    for name, yf in families.items():
+        # the outer bisection runs the inner one at each of its steps
+        back = conjugate(conjugate(yf))
+        got = back(t)
+        with monkeypatch.context() as m:
+            m.setattr(young, "_bisect_increasing", _reference_bisect_increasing)
+            ref = back(t)
+        assert got.tobytes() == ref.tobytes(), name
+
+
+def _norm_cases(families, gstars, compositions, rng):
+    for name, yf in families.items():
+        for G in (yf, gstars[name], compositions[name]):
+            for scale in (1e-6, 1.0, 1e6):
+                n = int(rng.integers(1, 400))
+                v = rng.lognormal(0.0, 2.0, n) * scale
+                w = rng.uniform(0.1, 1.0, n) / n
+                yield f"{G.label} x{scale:g}", (
+                    lambda lam, G=G, v=v, w=w: float(np.dot(w, G(v / lam)))
+                )
+
+
+def test_luxemburg_scale_is_bitwise_the_plain_bisection(families, gstars, compositions):
+    rng = np.random.default_rng(47)
+    for label, mod in _norm_cases(families, gstars, compositions, rng):
+        for tol in (1e-11, 1e-6):
+            ref = _reference_luxemburg_scale(mod, tol=tol)
+            assert luxemburg_scale(mod, tol=tol) == ref, (label, tol)
+    # tol = 0 never stops early: all 200 steps run, at adjacent floats too
+    for name, yf in families.items():
+        v = rng.lognormal(0.0, 1.0, 50)
+
+        def mod(lam, yf=yf, v=v):
+            return float(np.sum(yf(v / lam))) / 50.0
+
+        assert luxemburg_scale(mod, tol=0.0) == _reference_luxemburg_scale(mod, tol=0.0), name
+    # a map that never brackets from below: the scale underflows to 0
+    assert luxemburg_scale(lambda lam: 0.0) == _reference_luxemburg_scale(lambda lam: 0.0)
+
+
+def test_luxemburg_scale_evaluation_count(families):
+    """A pinned count on a fixed vector: a silent fall back to the full
+    bisection path would show here, not in the bits."""
+    rng = np.random.default_rng(53)
+    v = rng.lognormal(0.0, 1.0, 300)
+    w = unit_weights(300)
+    calls = []
+
+    def mod(lam):
+        calls.append(lam)
+        return float(np.dot(w, families["summix"](v / lam)))
+
+    got = luxemburg_scale(mod)
+    assert len(calls) == 10
+    assert got == _reference_luxemburg_scale(mod)
+    assert len(calls) == 10 + 38  # the plain bisection's own count
