@@ -17,7 +17,6 @@ from .solver import (
     ConvergenceError,
     DeGiorgiTrace,
     EigenResult,
-    SemilinearRHS,
     SolveOptions,
     StagnationError,
     SubcriticalityError,

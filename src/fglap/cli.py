@@ -26,7 +26,6 @@ from .grids import Grid, GridError, refine
 from .operator import OperatorParams, apply_operator
 from .solver import (
     ConvergenceError,
-    SemilinearRHS,
     SolveOptions,
     check_recursive_bound,
     degiorgi_rescale,
@@ -259,11 +258,10 @@ def _run_semilinear(cfg) -> dict[str, str]:
     yf = young_from_config(cfg["young"])
     F = young_from_config(cfg["semilinear"])
     params = OperatorParams(s=cfg["s"])
-    rhs = SemilinearRHS.from_young(F)
     opts = SolveOptions(tol=cfg["tol"], max_iter=cfg["max_iter"])
-    u = solve_semilinear(grid, yf, rhs, params, opts)
+    u = solve_semilinear(grid, yf, F, params, opts)
     A2 = 2.0 * apply_operator(u, yf, params)
-    fv = rhs.f(u.values)
+    fv = F.slope_odd(u.values)
     rel = float(np.max(np.abs(A2 - fv)) / (np.max(np.abs(A2)) + np.max(np.abs(fv))))
     return {
         "semilinear_result.json": _json(

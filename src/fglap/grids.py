@@ -77,10 +77,6 @@ class Grid:
         return float(np.prod(self.bounds[:, 1] - self.bounds[:, 0]))
 
     @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.bounds[:, 0] + self.bounds[:, 1])
-
-    @property
     def key(self) -> tuple:
         return (self.dim, self.bounds.tobytes(), self.cells)
 
@@ -116,9 +112,9 @@ class Grid:
         return idx[0] * self.cells[1] + idx[1]
 
 
-def refine(grid: Grid, factor: int = 2) -> Grid:
-    """Same domain with every cell split by the given factor per axis."""
-    return Grid.build(grid.bounds, tuple(c * factor for c in grid.cells))
+def refine(grid: Grid) -> Grid:
+    """Same domain with every cell split in two per axis."""
+    return Grid.build(grid.bounds, tuple(2 * c for c in grid.cells))
 
 
 @dataclass(frozen=True)

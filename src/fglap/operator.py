@@ -54,7 +54,9 @@ from .young import (
     modular,
     luxemburg_scale,
     _gauss,
+    _KNOTS,
     _LogLogTable,
+    _panel_integral,
 )
 
 __all__ = [
@@ -71,17 +73,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OperatorParams:
-    """Nonlocal-operator parameters: the smoothness order s and the angular
-    Gauss order of the 2d exterior ray integrals."""
+    """Nonlocal-operator parameters: the smoothness order s."""
 
     s: float
-    theta_order: int = 16
 
     def __post_init__(self):
         if not (0.0 < self.s < 1.0):
             raise ValueError(f"smoothness order must lie in (0, 1), got {self.s}")
-        if self.theta_order < 2:
-            raise ValueError("angular quadrature order must be >= 2")
+
+
+# Gauss points per angular panel of the 2d exterior ray integrals
+_THETA_ORDER = 16
 
 
 class _Kernel:
@@ -122,7 +124,7 @@ class _Kernel:
             self.ray_dist = np.column_stack([x - a, b - x])
             self.ray_w = np.ones_like(self.ray_dist)
         else:
-            self.ray_dist, self.ray_w = _angular_rays(grid, params.theta_order)
+            self.ray_dist, self.ray_w = _angular_rays(grid)
         self.ray_scale = self.ray_dist ** (-s)
 
     def quotients(self, v: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
@@ -181,12 +183,13 @@ def _distances(pts: np.ndarray, rows: slice, first: int = 0) -> np.ndarray:
     return np.sqrt(np.sum(diff * diff, axis=2))
 
 
-def _angular_rays(grid: Grid, order: int):
+def _angular_rays(grid: Grid):
     """Per-node angular Gauss rule with panels split at corner directions.
 
     Returns exit distances r(theta) from each node to the rectangle boundary
-    and the matching angular weights, shapes (N, 4 * order).
+    and the matching angular weights, shapes (N, 4 * _THETA_ORDER).
     """
+    order = _THETA_ORDER
     x, w = _gauss(order)
     (a1, b1), (a2, b2) = grid.bounds
     corners = np.array([[a1, a2], [b1, a2], [b1, b2], [a1, b2]])
@@ -225,7 +228,7 @@ _KERNELS: "OrderedDict[tuple, _Kernel]" = OrderedDict()
 
 
 def get_kernel(grid: Grid, params: OperatorParams) -> _Kernel:
-    key = (grid.key, params.s, params.theta_order)
+    key = (grid.key, params.s)
     kern = _KERNELS.get(key)
     if kern is None:
         kern = _KERNELS[key] = _Kernel(grid, params)
@@ -249,10 +252,9 @@ def _hat_table(yf: YoungFunction) -> _LogLogTable:
     if yf in _HATS:
         return _HATS[yf]
     x, w = _gauss(8)
-    knots = np.logspace(-15.0, 15.0, 30 * 512 + 1)
     # head: geometric bisection toward 0; integrand ~ sigma**(p_minus - 1)
     total = 0.0
-    hi = knots[0]
+    hi = _KNOTS[0]
     for _ in range(1200):
         lo = 0.5 * hi
         mid = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
@@ -261,12 +263,7 @@ def _hat_table(yf: YoungFunction) -> _LogLogTable:
         if contrib < max(1e-300, abs(total)) * 1e-16:
             break
         hi = lo
-    lo_k = knots[:-1]
-    hi_k = knots[1:]
-    mid = 0.5 * (hi_k + lo_k)[:, None] + 0.5 * (hi_k - lo_k)[:, None] * x[None, :]
-    vals = yf.evaluate(mid.ravel()).reshape(mid.shape) / mid
-    segs = 0.5 * (hi_k - lo_k) * (vals @ w)
-    table = _LogLogTable(knots, total + np.concatenate(([0.0], np.cumsum(segs))))
+    table = _LogLogTable(_KNOTS, _panel_integral(lambda t: yf.evaluate(t) / t, total))
     _HATS[yf] = table
     return table
 

@@ -63,7 +63,6 @@ __all__ = [
     "EigenResult",
     "DeGiorgiTrace",
     "RecursionFitReport",
-    "SemilinearRHS",
     "domain_modular",
     "normalize_to_modular",
     "solve_eigen",
@@ -163,20 +162,6 @@ class RecursionFitReport:
     delta: Optional[float]
     max_log_violation: float
     n_points: int
-
-
-@dataclass(frozen=True)
-class SemilinearRHS:
-    """Right-hand side f = F' for a growth function F."""
-
-    F: YoungFunction
-
-    @staticmethod
-    def from_young(F: YoungFunction) -> "SemilinearRHS":
-        return SemilinearRHS(F)
-
-    def f(self, t):
-        return self.F.slope_odd(t)
 
 
 def domain_modular(u: DiscreteFunction, yf: YoungFunction) -> float:
@@ -591,16 +576,11 @@ def solve_eigen(
     )
 
 
-def is_subcritical(
-    F: YoungFunction,
-    gstar: YoungFunction,
-    *,
-    decades: tuple[int, int] = (1, 6),
-    factors: tuple[float, ...] = (1.0, 2.0),
-) -> bool:
-    """Sampled check that F(k t) / G*(t) decays to zero along decades of t."""
-    ts = 10.0 ** np.arange(decades[0], decades[1] + 1, dtype=float)
-    for k in factors:
+def is_subcritical(F: YoungFunction, gstar: YoungFunction) -> bool:
+    """Sampled check that F(k t) / G*(t) decays to zero along the decades
+    t = 10 ... 1e6, for k = 1 and 2."""
+    ts = 10.0 ** np.arange(1, 7, dtype=float)
+    for k in (1.0, 2.0):
         ratios = np.asarray(F(k * ts), dtype=float) / np.asarray(gstar(ts), dtype=float)
         if not np.all(np.diff(ratios) < 0.0):
             return False
@@ -648,7 +628,7 @@ def _descent_fixed_rhs(
 def solve_semilinear(
     grid: Grid,
     yf: YoungFunction,
-    rhs: Optional[SemilinearRHS],
+    F: Optional[YoungFunction],
     params: OperatorParams,
     opts: SolveOptions = SolveOptions(),
     *,
@@ -656,21 +636,22 @@ def solve_semilinear(
     gstar: Optional[YoungFunction] = None,
     initial: Optional[DiscreteFunction] = None,
 ) -> DiscreteFunction:
-    """Solve 2 * operator(u) = f(u) + source on the grid.
+    """Solve 2 * operator(u) = f(u) + source on the grid, f = F' the odd
+    density of the growth function F.
 
-    With ``rhs`` absent the problem is a strictly convex source solve and
+    With ``F`` absent the problem is a strictly convex source solve and
     opts.tol bounds the absolute defect sup-norm.  With an autonomous
     right-hand side the solver runs damped Picard sweeps: each sweep solves
     the convex problem with the frozen nonlinearity, rescales the update
     along its ray to best fit the equation, and averages with the damping
     factor; convergence is measured by the defect normalized by the term
-    magnitudes, since the solution scale is not known in advance.  ``rhs``
+    magnitudes, since the solution scale is not known in advance.  ``F``
     must pass the sampled subcriticality test against the critical
     conjugate before any iteration starts.
     """
     hn = grid.node_weight
     src = np.zeros(grid.node_count) if source is None else np.asarray(source, float)
-    if rhs is None:
+    if F is None:
         if not np.any(src != 0.0):
             return DiscreteFunction(grid, np.zeros(grid.node_count))
         start = initial.values if initial is not None else _bump(grid)
@@ -678,15 +659,15 @@ def solve_semilinear(
 
     if gstar is None:
         gstar = sobolev_conjugate(yf, params.s, grid.dim)
-    if not is_subcritical(rhs.F, gstar):
+    if not is_subcritical(F, gstar):
         raise SubcriticalityError(
-            f"{rhs.F.label} does not decay against {gstar.label}; refusing to iterate"
+            f"{F.label} does not decay against {gstar.label}; refusing to iterate"
         )
 
     def residuals(v: np.ndarray) -> tuple[float, float]:
         """(scale-normalized, absolute) equation defect of v."""
         A2 = 2.0 * apply_operator(DiscreteFunction(grid, v), yf, params)
-        fv = rhs.f(v) + src
+        fv = F.slope_odd(v) + src
         res = float(np.max(np.abs(A2 - fv)))
         scale = float(np.max(np.abs(A2)) + np.max(np.abs(fv))) + 1e-300
         return res / scale, res
@@ -708,7 +689,7 @@ def solve_semilinear(
                 raise ConvergenceError(
                     f"Picard sweeps stopped contracting (relative residual {rel:.3e})"
                 )
-        frozen = rhs.f(u) + src
+        frozen = F.slope_odd(u) + src
         inner = SolveOptions(tol=max(0.02 * res, 1e-14), max_iter=opts.max_iter)
         w = _descent_fixed_rhs(grid, yf, params, frozen, u, inner)
         # rescale the update along its ray by minimizing the normalized
@@ -797,12 +778,12 @@ def degiorgi_trace(u: DiscreteFunction, yf: YoungFunction, K: int) -> DeGiorgiTr
     )
 
 
-def fit_recursion(a: np.ndarray, delta_bounds=(1e-3, 1.0 - 1e-3)):
+def fit_recursion(a: np.ndarray):
     """Least-squares fit of log a_{k+1} = log C1 + (k+1) log C2 + (1+delta) log a_k.
 
     Returns (c_bar, c_tilde, delta) or None when fewer than two consecutive
-    positive entries exist.  A best-fit delta outside the open unit interval
-    is clamped to the nearer bound and the remaining constants refitted.
+    positive entries exist.  A best-fit delta outside [1e-3, 1 - 1e-3] is
+    clamped to the nearer bound and the remaining constants refitted.
     """
     a = np.asarray(a, dtype=float)
     ks = np.array([k for k in range(len(a) - 1) if a[k] > 0 and a[k + 1] > 0])
@@ -817,8 +798,8 @@ def fit_recursion(a: np.ndarray, delta_bounds=(1e-3, 1.0 - 1e-3)):
     cols = np.column_stack([np.ones_like(x), ks + 1.0, x])
     coef, *_ = np.linalg.lstsq(cols, y - x, rcond=None)
     delta = float(coef[2])
-    if not (delta_bounds[0] <= delta <= delta_bounds[1]):
-        delta = float(np.clip(delta, *delta_bounds))
+    if not (1e-3 <= delta <= 1.0 - 1e-3):
+        delta = float(np.clip(delta, 1e-3, 1.0 - 1e-3))
         cols2 = np.column_stack([np.ones_like(x), ks + 1.0])
         coef2, *_ = np.linalg.lstsq(cols2, y - (1.0 + delta) * x, rcond=None)
         return float(np.exp(coef2[0])), float(np.exp(coef2[1])), delta

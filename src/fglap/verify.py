@@ -10,7 +10,7 @@ are reported as skipped rather than failed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -83,48 +83,6 @@ class VerifyReport:
             "ok": self.ok,
             "checks": [asdict(c) for c in self.checks],
         }
-
-
-INVARIANT_REGISTRY: dict[str, list[str]] = {
-    "young_calculus": [
-        "young_wellformed",
-        "young_inequality",
-        "young_equality_case",
-        "scaling_sandwich",
-        "inverse_scaling_sandwich",
-        "sum_splitting",
-        "double_conjugacy",
-        "critical_inverse_monotone",
-        "superposition_norm_bound",
-        "modular_controls_seminorm",
-        "chebyshev_tail",
-        "truncation_recursion_threshold",
-        "luxemburg_homogeneity",
-    ],
-    "frac_operator": [
-        "quotient_antisymmetry",
-        "linear_matrix_equivalence",
-        "translation_reflection_covariance",
-        "energy_segment_convexity",
-        "truncation_pair_inequality",
-        "energy_refinement_consistency",
-    ],
-    "eigen_solver": [
-        "descent_energy_monotone",
-        "eigen_weak_identity",
-        "eigen_energy_bound",
-        "truncation_monotone_levels",
-        "level_domination_identity",
-        "truncation_energy_bound",
-        "supnorm_refinement_stability",
-        "holder_refinement_stability",
-    ],
-    "cli_io": [
-        "config_roundtrip",
-        "registry_complete",
-        "seeded_report_determinism",
-    ],
-}
 
 
 def _result(name, ok, margin, samples, detail="") -> CheckResult:
@@ -590,11 +548,13 @@ def _check_config_roundtrip(ctx) -> CheckResult:
 
 
 def _check_registry_complete(ctx) -> CheckResult:
-    registered = [name for names in INVARIANT_REGISTRY.values() for name in names]
-    implemented = list(_CHECKS.keys())
-    missing = set(registered) - set(implemented)
-    extra = set(implemented) - set(registered)
-    dupes = len(registered) != len(set(registered))
+    """Every registered name maps to a check function of this module, every
+    check function is registered, and no name sits in two groups."""
+    registered = [name for group in INVARIANT_REGISTRY.values() for name in group]
+    written = {fn for key, fn in globals().items() if key.startswith("_check_")}
+    missing = {name for name, fn in _CHECKS.items() if fn not in written}
+    extra = {fn.__name__ for fn in written - set(_CHECKS.values())}
+    dupes = len(registered) != len(_CHECKS)
     ok = not missing and not extra and not dupes
     return _result(
         "registry_complete",
@@ -615,38 +575,48 @@ def _check_seeded_determinism(ctx) -> CheckResult:
     return _result("seeded_report_determinism", ok, 0.0 if ok else -1.0, len(sub))
 
 
-_CHECKS: dict[str, Callable] = {
-    "young_wellformed": _check_young_wellformed,
-    "young_inequality": _check_young_inequality,
-    "young_equality_case": _check_young_equality,
-    "scaling_sandwich": _check_scaling_sandwich,
-    "inverse_scaling_sandwich": _check_inverse_sandwich,
-    "sum_splitting": _check_sum_splitting,
-    "double_conjugacy": _check_double_conjugacy,
-    "critical_inverse_monotone": _check_crece,
-    "superposition_norm_bound": _check_superposition_norm,
-    "modular_controls_seminorm": _check_modular_seminorm,
-    "chebyshev_tail": _check_chebyshev,
-    "truncation_recursion_threshold": _check_recursion_threshold,
-    "luxemburg_homogeneity": _check_luxemburg_homogeneity,
-    "quotient_antisymmetry": _check_antisymmetry,
-    "linear_matrix_equivalence": _check_linear_equivalence,
-    "translation_reflection_covariance": _check_translation_reflection,
-    "energy_segment_convexity": _check_segment_convexity,
-    "truncation_pair_inequality": _check_pair_inequality,
-    "energy_refinement_consistency": _check_refinement_consistency,
-    "descent_energy_monotone": _check_descent_monotone,
-    "eigen_weak_identity": _check_weak_identity,
-    "eigen_energy_bound": _check_energy_bound,
-    "truncation_monotone_levels": _check_trace_monotone,
-    "level_domination_identity": _check_domination,
-    "truncation_energy_bound": _check_truncation_energy,
-    "supnorm_refinement_stability": _check_sup_stability,
-    "holder_refinement_stability": _check_holder_stability,
-    "config_roundtrip": _check_config_roundtrip,
-    "registry_complete": _check_registry_complete,
-    "seeded_report_determinism": _check_seeded_determinism,
+# every invariant check by group, in report order: the only list of checks
+INVARIANT_REGISTRY: dict[str, dict[str, Callable[["_Context"], CheckResult]]] = {
+    "young_calculus": {
+        "young_wellformed": _check_young_wellformed,
+        "young_inequality": _check_young_inequality,
+        "young_equality_case": _check_young_equality,
+        "scaling_sandwich": _check_scaling_sandwich,
+        "inverse_scaling_sandwich": _check_inverse_sandwich,
+        "sum_splitting": _check_sum_splitting,
+        "double_conjugacy": _check_double_conjugacy,
+        "critical_inverse_monotone": _check_crece,
+        "superposition_norm_bound": _check_superposition_norm,
+        "modular_controls_seminorm": _check_modular_seminorm,
+        "chebyshev_tail": _check_chebyshev,
+        "truncation_recursion_threshold": _check_recursion_threshold,
+        "luxemburg_homogeneity": _check_luxemburg_homogeneity,
+    },
+    "frac_operator": {
+        "quotient_antisymmetry": _check_antisymmetry,
+        "linear_matrix_equivalence": _check_linear_equivalence,
+        "translation_reflection_covariance": _check_translation_reflection,
+        "energy_segment_convexity": _check_segment_convexity,
+        "truncation_pair_inequality": _check_pair_inequality,
+        "energy_refinement_consistency": _check_refinement_consistency,
+    },
+    "eigen_solver": {
+        "descent_energy_monotone": _check_descent_monotone,
+        "eigen_weak_identity": _check_weak_identity,
+        "eigen_energy_bound": _check_energy_bound,
+        "truncation_monotone_levels": _check_trace_monotone,
+        "level_domination_identity": _check_domination,
+        "truncation_energy_bound": _check_truncation_energy,
+        "supnorm_refinement_stability": _check_sup_stability,
+        "holder_refinement_stability": _check_holder_stability,
+    },
+    "cli_io": {
+        "config_roundtrip": _check_config_roundtrip,
+        "registry_complete": _check_registry_complete,
+        "seeded_report_determinism": _check_seeded_determinism,
+    },
 }
+_CHECKS = {name: fn for group in INVARIANT_REGISTRY.values() for name, fn in group.items()}
 
 
 class _Context:
@@ -689,7 +659,7 @@ def run_verify(
     draws: int = 25,
     ladder_sizes: tuple[int, ...] = (32, 64, 128),
     primary: str = "piecewise2_3",
-    only: Optional[list[str]] = None,
+    only: Optional[Iterable[str]] = None,
     families: Optional[dict[str, YoungFunction]] = None,
 ) -> VerifyReport:
     """Run every registered invariant check (or the named subset).
@@ -710,10 +680,7 @@ def run_verify(
         primary,
     )
     report = VerifyReport(seed=seed)
-    names = only if only is not None else [
-        n for group in INVARIANT_REGISTRY.values() for n in group
-    ]
-    for name in names:
+    for name in only if only is not None else _CHECKS:
         fn = _CHECKS[name]
         try:
             report.checks.append(fn(ctx))

@@ -29,7 +29,7 @@ read-only and safe to share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -107,16 +107,14 @@ class YoungFunction:
     ``evaluate`` and ``derivative`` act on nonnegative arguments; calls go
     through ``__call__`` which applies the even extension G(|t|).  The index
     bounds satisfy p_minus <= t*g(t)/G(t) <= p_plus on the sampled range,
-    with 1 < p_minus <= p_plus < inf.  ``normalized`` records whether
-    G(1) = 1.  ``inverse_fn``, when present, is a closed-form or tabulated
-    inverse used to skip bisection.
+    with 1 < p_minus <= p_plus < inf.  ``inverse_fn``, when present, is a
+    closed-form or tabulated inverse used to skip bisection.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     derivative: Callable[[np.ndarray], np.ndarray]
     p_minus: float
     p_plus: float
-    normalized: bool
     label: str
     inverse_fn: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
 
@@ -172,10 +170,6 @@ class WeightedSamples:
         if not np.all(np.isfinite(v)):
             raise ValueError("values must be finite")
 
-    @property
-    def total_weight(self) -> float:
-        return float(np.sum(self.weights))
-
 
 # ---------------------------------------------------------------------------
 # Closed-form families
@@ -197,7 +191,7 @@ def make_power(p: float) -> YoungFunction:
     def inv(y):
         return y ** (1.0 / p)
 
-    return YoungFunction(ev, dv, p, p, True, f"power({p:g})", inv)
+    return YoungFunction(ev, dv, p, p, f"power({p:g})", inv)
 
 
 def make_power_log(p: float) -> YoungFunction:
@@ -248,7 +242,7 @@ def make_power_log(p: float) -> YoungFunction:
                 f"power_log({p:g}): sampled elasticity leaves (1, inf); "
                 f"minimum {p_minus:.6g}"
             )
-    return YoungFunction(ev, dv, p_minus, p_plus, True, f"power_log({p:g})")
+    return YoungFunction(ev, dv, p_minus, p_plus, f"power_log({p:g})")
 
 
 def make_piecewise_power(p: float, q: float) -> YoungFunction:
@@ -271,7 +265,7 @@ def make_piecewise_power(p: float, q: float) -> YoungFunction:
         return np.where(y <= 1.0, y ** (1.0 / p), y ** (1.0 / q))
 
     return YoungFunction(
-        ev, dv, min(p, q), max(p, q), True, f"piecewise_power({p:g},{q:g})", inv
+        ev, dv, min(p, q), max(p, q), f"piecewise_power({p:g},{q:g})", inv
     )
 
 
@@ -288,8 +282,7 @@ def combine(
     """Combine Young functions by weighted sum, pointwise max, or composition.
 
     Sums and maxima inherit [min p_minus, max p_plus]; compositions multiply
-    the bounds of their parts.  Results are generally unnormalized; the
-    ``normalized`` flag records whether G(1) = 1 happens to hold.
+    the bounds of their parts.  Results are generally unnormalized.
     """
     parts = list(parts)
     if not parts:
@@ -356,8 +349,7 @@ def combine(
     else:
         raise YoungFunctionError(f"unknown combinator kind {kind!r}")
 
-    probe = float(ev(np.array([1.0]))[0])
-    return YoungFunction(ev, dv, p_minus, p_plus, abs(probe - 1.0) <= 1e-12, label)
+    return YoungFunction(ev, dv, p_minus, p_plus, label)
 
 
 def scale_young(yf: YoungFunction, c: float) -> YoungFunction:
@@ -372,13 +364,11 @@ def scale_young(yf: YoungFunction, c: float) -> YoungFunction:
         def inv(y):
             return base_inv(y / c)
 
-    probe = c * float(yf.evaluate(np.array([1.0]))[0])
     return YoungFunction(
         lambda t: c * yf.evaluate(t),
         lambda t: c * yf.derivative(t),
         yf.p_minus,
         yf.p_plus,
-        abs(probe - 1.0) <= 1e-12,
         f"{c:g}*{yf.label}",
         inv,
     )
@@ -389,16 +379,7 @@ def normalize_young(yf: YoungFunction) -> YoungFunction:
     g1 = float(yf.evaluate(np.array([1.0]))[0])
     if not np.isfinite(g1) or g1 <= 0:
         raise YoungFunctionError(f"cannot normalize {yf.label}: G(1) = {g1}")
-    out = scale_young(yf, 1.0 / g1)
-    return YoungFunction(
-        out.evaluate,
-        out.derivative,
-        out.p_minus,
-        out.p_plus,
-        True,
-        f"normalized({yf.label})",
-        out.inverse_fn,
-    )
+    return replace(scale_young(yf, 1.0 / g1), label=f"normalized({yf.label})")
 
 
 # ---------------------------------------------------------------------------
@@ -406,19 +387,31 @@ def normalize_young(yf: YoungFunction) -> YoungFunction:
 # ---------------------------------------------------------------------------
 
 
-def _bisect_increasing(fn, target, *, iters: int = 110, max_expand: int = 400):
+def _geometric_mid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """sqrt(lo * hi) for 0 < lo <= hi, and sqrt(lo) * sqrt(hi) wherever the
+    product overflows (roots above about 1.3e154)."""
+    if not np.any(hi > 1e154):  # then lo * hi <= 1e308 is finite
+        return np.sqrt(lo * hi)
+    with np.errstate(over="ignore"):
+        mid = np.sqrt(lo * hi)
+    big = np.isinf(mid)
+    mid[big] = np.sqrt(lo[big]) * np.sqrt(hi[big])
+    return mid
+
+
+def _bisect_increasing(fn, target):
     """Solve fn(t) = target for nondecreasing fn with fn(0) = 0, fn -> inf.
 
-    Vectorized bracket expansion followed by up to ``iters`` steps of
-    geometric bisection, which keeps the result accurate in relative terms
-    across hundreds of orders of magnitude.  At jump discontinuities of fn
-    the iteration converges to the jump location, the right-continuous
+    Vectorized bracket expansion followed by up to 110 steps of geometric
+    bisection, which keeps the result accurate in relative terms across
+    hundreds of orders of magnitude.  At jump discontinuities of fn the
+    iteration converges to the jump location, the right-continuous
     generalized inverse.
 
     The loop ends early once a step leaves every bracket unchanged: the
     step is a deterministic map of (lo, hi), so all remaining steps would
-    repeat that state, and the result is the full ``iters``-step
-    bisection's own bits.
+    repeat that state, and the result is the full 110-step bisection's own
+    bits.
     """
     y = np.asarray(target, dtype=float)
     scalar = y.ndim == 0
@@ -428,7 +421,7 @@ def _bisect_increasing(fn, target, *, iters: int = 110, max_expand: int = 400):
     lo = np.full_like(y, 1e-300)
     hi = np.ones_like(y)
     short = np.asarray(fn(hi)) < y
-    for _ in range(max_expand):
+    for _ in range(400):
         if not short.any():
             break
         lo[short] = hi[short]
@@ -440,15 +433,15 @@ def _bisect_increasing(fn, target, *, iters: int = 110, max_expand: int = 400):
         raise BracketError("no upper bracket found; malformed growth function")
     # geometric bisection: the log-interval halves every step, so ~110 steps
     # resolve any magnitude in [1e-300, 1e290] to full relative precision
-    for _ in range(iters):
-        mid = np.sqrt(lo * hi)
+    for _ in range(110):
+        mid = _geometric_mid(lo, hi)
         left = np.asarray(fn(mid)) < y
         new_lo = np.where(left, mid, lo)
         new_hi = np.where(left, hi, mid)
         if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
             break
         lo, hi = new_lo, new_hi
-    out = np.sqrt(lo * hi)
+    out = _geometric_mid(lo, hi)
     out[y == 0.0] = 0.0
     return float(out[0]) if scalar else out
 
@@ -490,10 +483,7 @@ def conjugate(yf: YoungFunction) -> YoungFunction:
 
     p_minus = yf.p_plus / (yf.p_plus - 1.0)
     p_plus = yf.p_minus / (yf.p_minus - 1.0)
-    probe = float(ev(np.array([1.0]))[0])
-    return YoungFunction(
-        ev, dv, p_minus, p_plus, abs(probe - 1.0) <= 1e-12, f"conjugate({yf.label})"
-    )
+    return YoungFunction(ev, dv, p_minus, p_plus, f"conjugate({yf.label})")
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +543,26 @@ class _LogLogTable:
         return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
 
-def _head_integral(ginv, tau0: float, beta: float, s_over_n: float, atol: float) -> float:
+# log knots of the tabulated integrals (the Ghat primitive of the operator
+# and the inverse of the Sobolev conjugate): 512 per decade over
+# [1e-15, 1e15], with a knot exactly at 1
+_KNOTS = np.logspace(-15.0, 15.0, 30 * 512 + 1)
+
+
+def _panel_integral(integrand: Callable[[np.ndarray], np.ndarray], head: float) -> np.ndarray:
+    """head plus the cumulative 8-point Gauss panel sums of ``integrand``
+    over the intervals between consecutive ``_KNOTS``: the integral from 0
+    to every knot, given the integral ``head`` from 0 to the first."""
+    x, w = _gauss(8)
+    lo = _KNOTS[:-1]
+    hi = _KNOTS[1:]
+    mid = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * x[None, :]
+    vals = integrand(mid.ravel()).reshape(mid.shape)
+    segs = 0.5 * (hi - lo) * (vals @ w)
+    return head + np.concatenate(([0.0], np.cumsum(segs)))
+
+
+def _head_integral(ginv, tau0: float, beta: float, s_over_n: float) -> float:
     """Integral of G^{-1}(tau) * tau**(-1 - s/n) over (0, tau0].
 
     Substituting sigma = tau**beta with beta = 1/p_plus - s/n turns the
@@ -588,7 +597,7 @@ def _head_integral(ginv, tau0: float, beta: float, s_over_n: float, atol: float)
                 )
         else:
             stall = 0
-        if contrib < max(0.01 * atol, abs(total) * 1e-15):
+        if contrib < max(1e-12, abs(total) * 1e-15):
             return total
         prev = contrib
         hi = lo
@@ -599,11 +608,6 @@ def sobolev_conjugate(
     yf: YoungFunction,
     s: float,
     n: int,
-    *,
-    tau_min: float = 1e-15,
-    tau_max: float = 1e15,
-    knots_per_decade: int = 512,
-    atol: float = 1e-10,
 ) -> YoungFunction:
     """Critical conjugate G*: the function whose inverse is
     int_0^t G^{-1}(tau) * tau**(-(n+s)/n) dtau.
@@ -627,25 +631,14 @@ def sobolev_conjugate(
     def ginv(tau):
         return np.asarray(inverse(yf, tau), dtype=float)
 
-    decades = np.log10(tau_max) - np.log10(tau_min)
-    m = int(round(decades * knots_per_decade)) + 1
-    taus = np.logspace(np.log10(tau_min), np.log10(tau_max), m)
-
     beta = 1.0 / yf.p_plus - s_over_n
-    head = _head_integral(ginv, taus[0], beta, s_over_n, atol)
+    head = _head_integral(ginv, _KNOTS[0], beta, s_over_n)
     if head <= 0:
         raise QuadratureError("vanishing head integral; malformed growth function")
+    wtab = _panel_integral(lambda tau: ginv(tau) * tau ** (-1.0 - s_over_n), head)
 
-    x, w = _gauss(8)
-    lo = taus[:-1]
-    hi = taus[1:]
-    mid = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * x[None, :]
-    vals = ginv(mid.ravel()).reshape(mid.shape) * mid ** (-1.0 - s_over_n)
-    segs = 0.5 * (hi - lo) * (vals @ w)
-    wtab = head + np.concatenate(([0.0], np.cumsum(segs)))
-
-    inv_table = _LogLogTable(taus, wtab)      # tau -> (G*)^{-1} value
-    fwd_table = _LogLogTable(wtab, taus)      # t -> G*(t)
+    inv_table = _LogLogTable(_KNOTS, wtab)      # tau -> (G*)^{-1} value
+    fwd_table = _LogLogTable(wtab, _KNOTS)      # t -> G*(t)
 
     p_star_minus = n * yf.p_minus / (n - s * yf.p_minus)
     p_star_plus = n * yf.p_plus / (n - s * yf.p_plus)
@@ -663,13 +656,11 @@ def sobolev_conjugate(
     def inv(y):
         return np.asarray(inv_table(y), dtype=float)
 
-    probe = float(ev(np.array([1.0]))[0])
     return YoungFunction(
         ev,
         dv,
         p_star_minus,
         p_star_plus,
-        abs(probe - 1.0) <= 1e-12,
         f"sobolev_conjugate({yf.label};s={s:g},n={n})",
         inv,
     )
@@ -717,13 +708,11 @@ def embedding_composition(
             f"composition of {gstar.label} with the inverse of {yf.label} has "
             f"sampled elasticity {p_minus:.4g} <= 1"
         )
-    probe = float(ev(np.array([1.0]))[0])
     return YoungFunction(
         ev,
         dv,
         p_minus,
         p_plus,
-        abs(probe - 1.0) <= 1e-12,
         f"embedding_composition({yf.label};s={s:g},n={n})",
     )
 
@@ -857,10 +846,7 @@ _LUXEMBURG_MARGIN = 1e-12
 
 
 def luxemburg_scale(
-    modular_of_scaled: Callable[[float], float],
-    *,
-    tol: float = 1e-11,
-    max_expand: int = 2000,
+    modular_of_scaled: Callable[[float], float], *, tol: float = 1e-11
 ) -> float:
     """Smallest lam with modular(u/lam) <= 1 for a strictly decreasing map.
 
@@ -874,7 +860,7 @@ def luxemburg_scale(
     lam = 1.0
     val = modular_of_scaled(lam)
     if val > 1.0:
-        for _ in range(max_expand):
+        for _ in range(2000):
             prev = val
             lam *= 2.0
             val = modular_of_scaled(lam)
@@ -885,7 +871,7 @@ def luxemburg_scale(
         lo, hi = lam / 2.0, lam
         seeds = ((lo, prev), (hi, val))
     else:
-        for _ in range(max_expand):
+        for _ in range(2000):
             prev = val
             lam /= 2.0
             if lam < 1e-300:
@@ -1039,16 +1025,14 @@ def builtin_embedding_params() -> dict[str, tuple[float, int]]:
     }
 
 
-def check_young_wellformed(
-    yf: YoungFunction, ts: Optional[np.ndarray] = None, *, check_convexity: bool = True
-) -> dict:
-    """Sampled structural checks: G(0) = 0, strict increase, convexity,
-    elasticity inside the declared bounds, and the doubling inequality.
+def check_young_wellformed(yf: YoungFunction) -> dict:
+    """Sampled structural checks on [1e-3, 1e3]: G(0) = 0, strict increase,
+    convexity, elasticity inside the declared bounds, and the doubling
+    inequality.
 
     Returns a dict of worst-case margins (nonnegative means satisfied).
     """
-    if ts is None:
-        ts = np.logspace(-3, 3, 601)
+    ts = np.logspace(-3, 3, 601)
     vals = yf(ts)
     g0 = float(yf(0.0))
     increase = float(np.min(np.diff(vals)))
@@ -1057,17 +1041,15 @@ def check_young_wellformed(
     upper = float(np.min(yf.p_plus - ratios))
     doubled = yf.doubling_constant * vals
     doubling = float(np.min((doubled - yf(2.0 * ts)) / doubled))
-    report = {
+    # finite-difference convexity on a uniform refinement of each decade
+    tt = np.linspace(ts[0], ts[-1], 2048)
+    vv = yf(tt)
+    second = vv[2:] - 2.0 * vv[1:-1] + vv[:-2]
+    return {
         "g_at_zero": g0,
         "strict_increase_margin": increase,
         "elasticity_lower_margin": lower,
         "elasticity_upper_margin": upper,
         "doubling_margin": doubling,
+        "convexity_margin": float(np.min(second)),
     }
-    if check_convexity:
-        # finite-difference convexity on a uniform refinement of each decade
-        tt = np.linspace(ts[0], ts[-1], 2048)
-        vv = yf(tt)
-        second = vv[2:] - 2.0 * vv[1:-1] + vv[:-2]
-        report["convexity_margin"] = float(np.min(second))
-    return report

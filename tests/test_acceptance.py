@@ -15,7 +15,6 @@ from fglap import (
     DiscreteFunction,
     Grid,
     OperatorParams,
-    SemilinearRHS,
     SolveOptions,
     WeightedSamples,
     apply_operator,
@@ -370,11 +369,11 @@ def test_acceptance_semilinear_study():
         grid = Grid.build([0.0, 1.0], 48)
         params = OperatorParams(s=0.4)
         u = solve_semilinear(
-            grid, G, SemilinearRHS.from_young(F), params,
+            grid, G, F, params,
             SolveOptions(tol=1e-6, max_iter=40000),
         )
         A2 = 2.0 * apply_operator(u, G, params)
-        fv = SemilinearRHS.from_young(F).f(u.values)
+        fv = F.slope_odd(u.values)
         rel = float(
             np.max(np.abs(A2 - fv)) / (np.max(np.abs(A2)) + np.max(np.abs(fv)))
         )

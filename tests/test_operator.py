@@ -563,7 +563,7 @@ def test_streamed_kernel_is_bitwise_the_one_shot_build(bounds, cells):
         ray_dist = np.column_stack([x - a, b - x])
         ray_w = np.ones_like(ray_dist)
     else:
-        ray_dist, ray_w = _angular_rays(grid, params.theta_order)
+        ray_dist, ray_w = _angular_rays(grid)
     assert kern.ray_dist.tobytes() == ray_dist.tobytes()
     assert kern.ray_w.tobytes() == ray_w.tobytes()
     assert kern.ray_scale.tobytes() == (ray_dist ** (-params.s)).tobytes()
@@ -610,7 +610,7 @@ def test_kernel_cache_keeps_the_most_recently_used():
     get_kernel(grids[-1], params)
     assert len(_KERNELS) == _KERNEL_CAPACITY
     # capacity + 1 distinct kernels: the least recently used one is gone
-    assert (grids[1].key, 0.4, params.theta_order) not in _KERNELS
+    assert (grids[1].key, 0.4) not in _KERNELS
     assert get_kernel(grids[0], params) is first
 
 

@@ -12,7 +12,6 @@ from fglap import (
     DiscreteFunction,
     Grid,
     OperatorParams,
-    SemilinearRHS,
     SolveOptions,
     SubcriticalityError,
     apply_operator,
@@ -475,7 +474,7 @@ def test_energy_hessian_stays_within_two_matrices(families):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-        _KERNELS.pop((grid.key, params.s, params.theta_order))
+        _KERNELS.pop((grid.key, params.s))
     assert peak < 2 * N * N * 8
 
 
@@ -593,10 +592,30 @@ def test_subcriticality_check():
         solve_semilinear(
             grid,
             G,
-            SemilinearRHS.from_young(make_power(12.0)),
+            make_power(12.0),
             OperatorParams(s=0.4),
             gstar=gstar,
         )
+
+
+def _newton_semilinear(grid, G, F, params, v, steps=4):
+    """Newton steps on 2 A(v) = f(v) from v, with a Jacobian by central
+    differences, one operator pair per column: the discrete solution near
+    v, found independently of the solver.  Returns it with its defect."""
+
+    def defect(w):
+        return 2.0 * apply_operator(DiscreteFunction(grid, w), G, params) - F.slope_odd(w)
+
+    N = len(v)
+    for _ in range(steps):
+        d = 1e-6 * np.max(np.abs(v))
+        J = np.empty((N, N))
+        for j in range(N):
+            e = np.zeros(N)
+            e[j] = d
+            J[:, j] = (defect(v + e) - defect(v - e)) / (2.0 * d)
+        v = v - np.linalg.solve(J, defect(v))
+    return v, defect(v)
 
 
 def test_semilinear_autonomous_nontrivial():
@@ -605,14 +624,18 @@ def test_semilinear_autonomous_nontrivial():
     grid = Grid.build([0.0, 1.0], 48)
     params = OperatorParams(s=0.4)
     u = solve_semilinear(
-        grid, G, SemilinearRHS.from_young(F), params,
+        grid, G, F, params,
         SolveOptions(tol=1e-6, max_iter=40000),
     )
     assert sup_norm(u) > 1.0  # the nontrivial branch, not the zero solution
     A2 = 2.0 * apply_operator(u, G, params)
-    fv = SemilinearRHS.from_young(F).f(u.values)
+    fv = F.slope_odd(u.values)
     rel = np.max(np.abs(A2 - fv)) / (np.max(np.abs(A2)) + np.max(np.abs(fv)))
     assert rel <= 1e-6
+    # the solver's u is the discrete solution to ten times its tolerance
+    oracle, r = _newton_semilinear(grid, G, F, params, u.values)
+    assert np.max(np.abs(r)) <= 1e-12 * np.max(np.abs(A2))
+    assert np.max(np.abs(u.values - oracle)) <= 1e-5 * np.max(np.abs(oracle))
 
 
 def test_semilinear_linear_constant_source_matches_dense():
