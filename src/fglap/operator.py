@@ -70,6 +70,15 @@ __all__ = [
     "get_kernel",
 ]
 
+# Every row block of a pair pass allocates and frees block-sized
+# temporaries, many of them inside g(q) and G(q), where no reused buffer
+# reaches.  Freeing one mmapped 16 MiB block raises glibc's dynamic mmap
+# threshold to 16 MiB and its trim threshold to 32 MiB (mallopt(3),
+# M_MMAP_THRESHOLD), so those temporaries stay on the heap instead of being
+# mapped, faulted in and unmapped block after block, whatever was imported
+# before.  The block is never written, so it costs no memory.
+np.empty(1 << 21)
+
 
 @dataclass(frozen=True)
 class OperatorParams:

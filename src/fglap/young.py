@@ -33,7 +33,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 __all__ = [
     "YoungFunctionError",
@@ -491,55 +490,181 @@ def conjugate(yf: YoungFunction) -> YoungFunction:
 # ---------------------------------------------------------------------------
 
 
+def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """One-sided three-point slope at an end knot, kept from breaking the
+    end interval's monotonicity (Moler, *Numerical Computing with MATLAB*,
+    2004, sec. 3.6)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Knot slopes of the monotone cubic through knots with spacings h and
+    secant slopes m: the weighted harmonic mean of the neighbouring secants,
+    zero where they change sign or vanish (Fritsch & Butland, SIAM J. Sci.
+    Stat. Comput. 5, 1984), and three-point slopes at the ends."""
+    if len(m) == 1:
+        return np.array([m[0], m[0]])
+    sm = np.sign(m)
+    flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    d = np.zeros(len(m) + 1)
+    d[1:-1][~flat] = 1.0 / whmean[~flat]
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
 class _LogLogTable:
     """Monotone log-log interpolation with power-law extrapolation.
 
-    ``derivative`` is the exact derivative of the interpolant itself (the
-    interpolant is C1), so integrands tabulated here can be paired with
-    gradients that match them to rounding error.
+    log y is the PCHIP cubic of log x (Fritsch & Carlson, SIAM J. Numer.
+    Anal. 17, 1980), with coefficients formed and evaluated in the order
+    scipy 1.17's ``PchipInterpolator`` and its ``derivative()`` use, so
+    values and derivatives match scipy's bit for bit.  ``derivative`` is
+    the exact derivative of the interpolant itself (the interpolant is C1),
+    so integrands tabulated here can be paired with gradients that match
+    them to rounding error.
+
+    Coefficients sit in n + 1 rows: row 0 is the power law below the first
+    knot, row k + 1 the cubic on [logx[k], logx[k+1]) (the last one closed
+    at the last knot), row n the power law above.  A row holds its origin
+    and the coefficients of 1, s, s**2, s**3 in s = log x - origin; the
+    power-law rows' zero higher coefficients add only signed zeros, so the
+    rows evaluate with one formula.  Knots uniform in log x up to rounding
+    (``np.logspace``) find their rows in O(1): a guess from the spacing,
+    corrected by one row either way against the true edges; other knots
+    use a binary search.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
-        self.logx = np.log(x)
-        self.logy = np.log(y)
-        self._interp = PchipInterpolator(self.logx, self.logy, extrapolate=False)
-        self._dinterp = self._interp.derivative()
-        self.slope_lo = (self.logy[1] - self.logy[0]) / (self.logx[1] - self.logx[0])
-        self.slope_hi = (self.logy[-1] - self.logy[-2]) / (self.logx[-1] - self.logx[-2])
+        logx = np.log(np.asarray(x, dtype=float))
+        logy = np.log(np.asarray(y, dtype=float))
+        # scipy's input checks, with its messages
+        if logx.ndim != 1:
+            raise ValueError("`x` must be 1-dimensional.")
+        if len(logx) < 2:
+            raise ValueError("`x` must contain at least 2 elements.")
+        if logy.shape != logx.shape:
+            raise ValueError("The length of `y` along `axis`=0 doesn't match the length of `x`")
+        if not np.all(np.isfinite(logx)):
+            raise ValueError("`x` must contain only finite values.")
+        if not np.all(np.isfinite(logy)):
+            raise ValueError("`y` must contain only finite values.")
+        h = np.diff(logx)
+        if np.any(h <= 0):
+            raise ValueError("`x` must be strictly increasing sequence.")
+        self.logx = logx
+        self.logy = logy
+        n = len(logx)
+        m = np.diff(logy) / h
+        d = _pchip_slopes(h, m)
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        c3 = t / h
+        c2 = (m - d[:-1]) / h - t
+        self.slope_hi = m[-1]
+        zero = np.zeros(1)
+        # columns: origin, then the coefficients of 1, s, s**2, s**3; scipy
+        # starts its sums from 0.0, which turns a leading -0.0 into 0.0
+        self._coef = np.column_stack([
+            np.concatenate([logx[:1], logx[:-1], logx[-1:]]),
+            np.concatenate([logy[:1], 0.0 + logy[:-1], logy[-1:]]),
+            np.concatenate([m[:1], d[:-1], m[-1:]]),
+            np.concatenate([zero, c2, zero]),
+            np.concatenate([zero, c3, zero]),
+        ])
+        self._dcoef = np.column_stack([
+            np.concatenate([m[:1], 0.0 + d[:-1], m[-1:]]),
+            np.concatenate([zero, 2 * c2, zero]),
+            np.concatenate([zero, 3 * c3, zero]),
+        ])
+        # row r covers edges[r-1] <= log x < edges[r]; the last edge is
+        # nudged up so that the last knot stays in the last cubic
+        self._edges = np.concatenate([logx[:-1], [np.nextafter(logx[-1], np.inf)]])
+        span = (logx[-1] - logx[0]) / (n - 1)
+        drift = np.max(np.abs(logx - (logx[0] + span * np.arange(n))))
+        self._uniform = bool(drift < 0.25 * span)
+        if self._uniform:
+            # a guess off by at most one row, since no knot is a quarter
+            # spacing from its uniform position
+            ends = np.concatenate([[-np.inf], self._edges, [np.inf]])
+            self._row_ends = np.column_stack([ends[:-1], ends[1:]])
+            self._origin = logx[0] - span
+            self._inv_span = 1.0 / span
 
-    def _eval(self, flat: np.ndarray, want_slope: bool):
-        val = np.zeros_like(flat)
-        slope = np.zeros_like(flat)
+    def _rows(self, lx: np.ndarray) -> np.ndarray:
+        """Coefficient row of every finite log argument, up to clipping."""
+        if not self._uniform:
+            return np.searchsorted(self._edges, lx, "right")
+        guess = lx - self._origin
+        guess *= self._inv_span
+        rows = guess.astype(np.intp)
+        # rows beyond either end stay there through the correction; the
+        # clipping takes map them to the power-law rows, which are right
+        ends = self._row_ends.take(rows, axis=0, mode="clip")
+        rows += lx >= ends[:, 1]
+        rows -= lx < ends[:, 0]
+        return rows
+
+    def _log_eval(self, lx: np.ndarray, want_slope: bool):
+        """log y, and with ``want_slope`` d log y / d log x, at finite lx."""
+        rows = self._rows(lx)
+        c = self._coef.take(rows, axis=0, mode="clip")
+        s = lx - c[:, 0]
+        s2 = s * s
+        ly = c[:, 2] * s
+        ly += c[:, 1]
+        ly += c[:, 3] * s2
+        ls = None
+        if want_slope:
+            dc = self._dcoef.take(rows, axis=0, mode="clip")
+            ls = dc[:, 1] * s
+            ls += dc[:, 0]
+            ls += dc[:, 2] * s2
+        s2 *= s
+        s2 *= c[:, 4]
+        ly += s2
+        return ly, ls
+
+    def _eval(self, flat: np.ndarray, derivative: bool) -> np.ndarray:
+        """The table, or its derivative, at every element of ``flat``: zero
+        at nonpositive and NaN arguments."""
+        if flat.size and flat.min() > 0.0 and flat.max() < np.inf:
+            ly, ls = self._log_eval(np.log(flat), derivative)
+            out = np.exp(ly, out=ly)
+            if derivative:
+                out *= ls
+                out /= flat
+            return out
+        out = np.zeros_like(flat)
         pos = flat > 0.0
         lx = np.log(flat[pos])
+        big = lx == np.inf
         ly = np.empty_like(lx)
         ls = np.empty_like(lx)
-        below = lx < self.logx[0]
-        above = lx > self.logx[-1]
-        inside = ~(below | above)
-        ly[inside] = self._interp(lx[inside])
-        ly[below] = self.logy[0] + self.slope_lo * (lx[below] - self.logx[0])
-        ly[above] = self.logy[-1] + self.slope_hi * (lx[above] - self.logx[-1])
-        val[pos] = np.exp(ly)
-        if want_slope:
-            ls[inside] = self._dinterp(lx[inside])
-            ls[below] = self.slope_lo
-            ls[above] = self.slope_hi
-            slope[pos] = ls
-        return val, slope
+        ly[~big], ls[~big] = self._log_eval(lx[~big], True)
+        # +inf: the upper power law, as an unbounded argument gives it
+        ly[big] = self.logy[-1] + self.slope_hi * np.inf
+        ls[big] = self.slope_hi
+        val = np.exp(ly)
+        out[pos] = val * ls / flat[pos] if derivative else val
+        return out
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
-        val, _ = self._eval(np.atleast_1d(arr).astype(float), False)
-        return val.reshape(arr.shape) if arr.ndim else float(val[0])
+        out = self._eval(arr.ravel(), False)
+        return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
     def derivative(self, x):
         arr = np.asarray(x, dtype=float)
-        flat = np.atleast_1d(arr).astype(float)
-        val, slope = self._eval(flat, True)
-        out = np.zeros_like(flat)
-        pos = flat > 0.0
-        out[pos] = val[pos] * slope[pos] / flat[pos]
+        out = self._eval(arr.ravel(), True)
         return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
 
@@ -650,7 +775,20 @@ def sobolev_conjugate(
         tau = np.asarray(fwd_table(t), dtype=float)
         out = np.zeros_like(tau)
         pos = tau > 0
-        out[pos] = 1.0 / (ginv(tau[pos]) * tau[pos] ** (-1.0 - s_over_n))
+        tp = tau[pos]
+        gi = ginv(tp)
+        # the singular weight overflows where tau is tiny (the density
+        # reads 0 there) and leaves the normal range where tau is huge
+        # (past 1e246 at s/n = 1/4), where 1 / (ginv * weight) would
+        # overflow; there the density is formed from factors in range
+        with np.errstate(over="ignore"):
+            decay = tp ** (-1.0 - s_over_n)
+        far = decay < np.finfo(float).tiny
+        near = ~far
+        dens = np.empty_like(tp)
+        dens[near] = 1.0 / (gi[near] * decay[near])
+        dens[far] = (tp[far] / gi[far]) * tp[far] ** s_over_n
+        out[pos] = dens
         return out
 
     def inv(y):

@@ -4,9 +4,13 @@ The critical-conjugate tabulations and eigen ladders are expensive, so they
 are built once per session and shared across test modules.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fglap
 from fglap import (
     Grid,
     OperatorParams,
@@ -74,3 +78,9 @@ def kink_safe(values, scales, kinks=(1.0,), eps=1e-5):
             return v
         v = v * 1.00371
     raise AssertionError("could not displace samples away from density kinks")
+
+
+def fresh_process_env():
+    """Environment for a child Python that imports this checkout's fglap."""
+    src = str(Path(fglap.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -12,6 +12,7 @@ import fglap.cli
 from fglap.cli import ConfigError, main, normalize_config, run_command
 from fglap.solver import StagnationError
 from fglap.verify import INVARIANT_REGISTRY, run_verify
+from conftest import fresh_process_env
 
 
 def run_cli(tmp_path, cfg, *extra):
@@ -226,6 +227,19 @@ def test_console_entry_point(tmp_path):
         text=True,
     )
     assert proc.returncode == 0
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test-only dependency; no command may pay for its import
+    code = "import sys, fglap.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=fresh_process_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

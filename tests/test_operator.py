@@ -2,6 +2,9 @@
 integrals, energy, gradient, and the Luxemburg-type seminorm."""
 
 import gc
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -37,7 +40,7 @@ from fglap.operator import (
     _row_blocks,
     get_kernel,
 )
-from conftest import kink_safe
+from conftest import fresh_process_env, kink_safe
 from test_young import _reference_luxemburg_scale
 
 
@@ -526,6 +529,47 @@ def test_pair_passes_stay_within_block_memory(families):
     # half of one N x N float64 array, and two pair-length vectors
     assert pass_peak < N * N * 8 // 2
     assert energy_peak < 2 * 8 * (N * (N - 1) // 2)
+
+
+_FAULT_LOOP = """
+import resource
+import sys
+import numpy as np
+from fglap import DiscreteFunction, Grid, OperatorParams, builtin_families, energy
+from fglap.operator import _operator_pass, get_kernel
+yf = builtin_families()["summix"]
+grid = Grid.build([[0.0, 1.0], [0.0, 1.0]], (32, 32))
+params = OperatorParams(s=0.5)
+kern = get_kernel(grid, params)
+v = np.sin(np.pi * grid.nodes[:, 0]) * np.sin(np.pi * grid.nodes[:, 1])
+u = DiscreteFunction(grid, v)
+_operator_pass(v, yf, kern, bands=True)  # builds the Ghat table
+energy(u, yf, params)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    _operator_pass(v, yf, kern, bands=True)
+    energy(u, yf, params)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print(after - before, any(m.split(".")[0] == "scipy" for m in sys.modules))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="bounds glibc's malloc")
+def test_pair_passes_take_few_page_faults():
+    # a fresh process without scipy: the page faults of the passes must not
+    # hinge on what an import happened to allocate and free before them
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULT_LOOP],
+        env=fresh_process_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    faults, scipy_loaded = proc.stdout.split()
+    assert scipy_loaded == "False"
+    # each pass walks 32 row blocks with a few 256 KiB temporaries apiece:
+    # mapped afresh per block, that is tens of thousands of faults
+    assert int(faults) < 1000
 
 
 def _reference_kernel_arrays(grid, params):

@@ -303,6 +303,35 @@ def test_sobolev_conjugate_slope():
     assert abs(slope - 4.0) < 0.01
 
 
+def _plain_conjugate_density(yf, gstar, t, s_over_n):
+    """G*'(t) = 1 / (G^{-1}(tau) * tau**(-1 - s/n)) at tau = G*(t), formed
+    as written."""
+    tau = np.asarray(gstar(t))
+    out = np.zeros_like(tau)
+    pos = tau > 0
+    out[pos] = 1.0 / (np.asarray(inverse(yf, tau[pos])) * tau[pos] ** (-1.0 - s_over_n))
+    return out
+
+
+def test_sobolev_conjugate_density_survives_weight_underflow(families, embedding, gstars):
+    yf, gstar = families["power3.5"], gstars["power3.5"]
+    s, n = embedding["power3.5"]
+    assert (s, n) == (0.5, 2)
+    p_star = n * yf.p_plus / (n - s * yf.p_plus)
+    # tau**(-1.25) is subnormal here, and the plain formula returns inf
+    t = np.array([1e11, 1e12])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        assert np.all(np.isinf(_plain_conjugate_density(yf, gstar, t, s / n)))
+    got = gstar.g(t)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got, p_star * gstar(t) / t, rtol=1e-6)
+    # where the weight stays normal, the density is the plain formula's bits
+    t = np.logspace(-14.0, 10.0, 2001)
+    with np.errstate(over="ignore"):
+        plain = _plain_conjugate_density(yf, gstar, t, s / n)
+    assert np.array_equal(gstar.g(t).view(np.uint64), plain.view(np.uint64))
+
+
 def test_sobolev_conjugate_requires_subcritical_growth():
     with pytest.raises(EmbeddingConditionError):
         sobolev_conjugate(make_power(2.0), 0.5, 1)
