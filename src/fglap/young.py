@@ -538,10 +538,7 @@ class _LogLogTable:
     at the last knot), row n the power law above.  A row holds its origin
     and the coefficients of 1, s, s**2, s**3 in s = log x - origin; the
     power-law rows' zero higher coefficients add only signed zeros, so the
-    rows evaluate with one formula.  Knots uniform in log x up to rounding
-    (``np.logspace``) find their rows in O(1): a guess from the spacing,
-    corrected by one row either way against the true edges; other knots
-    use a binary search.
+    rows evaluate with one formula.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -563,13 +560,11 @@ class _LogLogTable:
             raise ValueError("`x` must be strictly increasing sequence.")
         self.logx = logx
         self.logy = logy
-        n = len(logx)
         m = np.diff(logy) / h
         d = _pchip_slopes(h, m)
         t = (d[:-1] + d[1:] - 2 * m) / h
         c3 = t / h
         c2 = (m - d[:-1]) / h - t
-        self.slope_hi = m[-1]
         zero = np.zeros(1)
         # columns: origin, then the coefficients of 1, s, s**2, s**3; scipy
         # starts its sums from 0.0, which turns a leading -0.0 into 0.0
@@ -588,35 +583,16 @@ class _LogLogTable:
         # row r covers edges[r-1] <= log x < edges[r]; the last edge is
         # nudged up so that the last knot stays in the last cubic
         self._edges = np.concatenate([logx[:-1], [np.nextafter(logx[-1], np.inf)]])
-        span = (logx[-1] - logx[0]) / (n - 1)
-        drift = np.max(np.abs(logx - (logx[0] + span * np.arange(n))))
-        self._uniform = bool(drift < 0.25 * span)
-        if self._uniform:
-            # a guess off by at most one row, since no knot is a quarter
-            # spacing from its uniform position
-            ends = np.concatenate([[-np.inf], self._edges, [np.inf]])
-            self._row_ends = np.column_stack([ends[:-1], ends[1:]])
-            self._origin = logx[0] - span
-            self._inv_span = 1.0 / span
-
-    def _rows(self, lx: np.ndarray) -> np.ndarray:
-        """Coefficient row of every finite log argument, up to clipping."""
-        if not self._uniform:
-            return np.searchsorted(self._edges, lx, "right")
-        guess = lx - self._origin
-        guess *= self._inv_span
-        rows = guess.astype(np.intp)
-        # rows beyond either end stay there through the correction; the
-        # clipping takes map them to the power-law rows, which are right
-        ends = self._row_ends.take(rows, axis=0, mode="clip")
-        rows += lx >= ends[:, 1]
-        rows -= lx < ends[:, 0]
-        return rows
+        # the value and derivative at +inf: the upper power law, as an
+        # unbounded argument gives it
+        with np.errstate(invalid="ignore"):
+            top = np.exp(logy[-1] + m[-1] * np.inf)
+            self._at_inf = (top, top * m[-1] / np.inf)
 
     def _log_eval(self, lx: np.ndarray, want_slope: bool):
         """log y, and with ``want_slope`` d log y / d log x, at finite lx."""
-        rows = self._rows(lx)
-        c = self._coef.take(rows, axis=0, mode="clip")
+        rows = np.searchsorted(self._edges, lx, "right")
+        c = self._coef.take(rows, axis=0)
         s = lx - c[:, 0]
         s2 = s * s
         ly = c[:, 2] * s
@@ -624,7 +600,7 @@ class _LogLogTable:
         ly += c[:, 3] * s2
         ls = None
         if want_slope:
-            dc = self._dcoef.take(rows, axis=0, mode="clip")
+            dc = self._dcoef.take(rows, axis=0)
             ls = dc[:, 1] * s
             ls += dc[:, 0]
             ls += dc[:, 2] * s2
@@ -636,25 +612,13 @@ class _LogLogTable:
     def _eval(self, flat: np.ndarray, derivative: bool) -> np.ndarray:
         """The table, or its derivative, at every element of ``flat``: zero
         at nonpositive and NaN arguments."""
-        if flat.size and flat.min() > 0.0 and flat.max() < np.inf:
-            ly, ls = self._log_eval(np.log(flat), derivative)
-            out = np.exp(ly, out=ly)
-            if derivative:
-                out *= ls
-                out /= flat
-            return out
         out = np.zeros_like(flat)
-        pos = flat > 0.0
-        lx = np.log(flat[pos])
-        big = lx == np.inf
-        ly = np.empty_like(lx)
-        ls = np.empty_like(lx)
-        ly[~big], ls[~big] = self._log_eval(lx[~big], True)
-        # +inf: the upper power law, as an unbounded argument gives it
-        ly[big] = self.logy[-1] + self.slope_hi * np.inf
-        ls[big] = self.slope_hi
-        val = np.exp(ly)
-        out[pos] = val * ls / flat[pos] if derivative else val
+        fin = (flat > 0.0) & (flat < np.inf)
+        x = flat[fin]
+        ly, ls = self._log_eval(np.log(x), derivative)
+        val = np.exp(ly, out=ly)
+        out[fin] = val * ls / x if derivative else val
+        out[flat == np.inf] = self._at_inf[derivative]
         return out
 
     def __call__(self, x):

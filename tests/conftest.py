@@ -81,6 +81,11 @@ def kink_safe(values, scales, kinks=(1.0,), eps=1e-5):
 
 
 def fresh_process_env():
-    """Environment for a child Python that imports this checkout's fglap."""
+    """Environment for a child Python that imports this checkout's fglap,
+    with glibc's default malloc: any MALLOC_*_ or GLIBC_TUNABLES setting of
+    a threshold turns off the dynamic thresholds that fglap.operator raises."""
     src = str(Path(fglap.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return env

@@ -115,12 +115,6 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.uint64)
 
 
-def test_tables_cover_both_knot_lookups(tables):
-    assert tables["hat:power2"]._uniform
-    assert not tables["gstar:summix"]._uniform
-    assert not tables["random_uneven"]._uniform
-
-
 # the far power-law probes overflow to inf in both, and inf / inf is NaN
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
