@@ -10,7 +10,9 @@ from .operator import (
     energy,
     energy_gradient,
     gagliardo_seminorm,
+    holder_seminorm,
     pair_samples,
+    pair_test_margin,
     s_quotient,
 )
 from .solver import (
@@ -25,10 +27,8 @@ from .solver import (
     degiorgi_trace,
     domain_modular,
     fit_recursion,
-    holder_seminorm,
     is_subcritical,
     normalize_to_modular,
-    pair_test_margin,
     solve_eigen,
     solve_semilinear,
     sup_norm,

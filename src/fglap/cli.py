@@ -23,14 +23,13 @@ import jsonschema
 import numpy as np
 
 from .grids import Grid, GridError, refine
-from .operator import OperatorParams, apply_operator
+from .operator import OperatorParams, apply_operator, holder_seminorm
 from .solver import (
     ConvergenceError,
     SolveOptions,
     check_recursive_bound,
     degiorgi_rescale,
     degiorgi_trace,
-    holder_seminorm,
     solve_eigen,
     solve_semilinear,
     sup_norm,

@@ -27,23 +27,22 @@ deterministic for a fixed BLAS thread count.  The operator's row sums are
 numpy pairwise sums, but the energy reduces with ``np.dot``, a BLAS call
 whose last bit can depend on the thread count.
 
-Every pair computation runs over node rows in blocks of about ``_BLOCK``
-elements: the kernel build, the operator and its stationarity bands, the
-energy, the pair samples and tests, and the Newton Hessian in the solver.
-Only the kernel's own arrays are N x N or pair-length: the dense quotient
-scales and operator weights and the energy weights of the pairs i < j,
-20 bytes per node pair.  The blocking moves no bit: every element sees the
-same operations in the same order, each row sum is taken over its whole
-contiguous row, and the energy fills one pair-length vector block by block
-and reduces it with a single ``np.dot``.
+Every pass over node pairs and exterior rays lives here and runs over node
+rows in blocks of about ``_BLOCK`` elements: the kernel build, the operator
+and its stationarity bands, the energy and its Newton Hessian, the pair
+samples, tests, crease normals and the Hoelder seminorm.  Only the kernel's
+own arrays are N x N or pair-length: the dense quotient scales and operator
+weights and the energy weights of the pairs i < j, 20 bytes per node pair.
+The blocking moves no bit: every element sees the same operations in the
+same order, each row sum is taken over its whole contiguous row, and a
+reduction over the pairs i < j fills one pair-length vector block by block.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -51,12 +50,9 @@ from .grids import DiscreteFunction, Grid
 from .young import (
     WeightedSamples,
     YoungFunction,
-    modular,
     luxemburg_scale,
     _gauss,
-    _KNOTS,
-    _LogLogTable,
-    _panel_integral,
+    _hat_table,
 )
 
 __all__ = [
@@ -67,6 +63,8 @@ __all__ = [
     "energy_gradient",
     "gagliardo_seminorm",
     "pair_samples",
+    "pair_test_margin",
+    "holder_seminorm",
     "get_kernel",
 ]
 
@@ -136,7 +134,7 @@ class _Kernel:
             self.ray_dist, self.ray_w = _angular_rays(grid)
         self.ray_scale = self.ray_dist ** (-s)
 
-    def quotients(self, v: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    def quotients(self, v: np.ndarray, rows: slice) -> np.ndarray:
         """Pair quotients (v_i - v_j) |x_i - x_j|**(-s) for the nodes i in
         rows against every node j, zero on the diagonal."""
         return (v[rows, None] - v[None, :]) * self.qs[rows]
@@ -153,11 +151,36 @@ class _Kernel:
             q = (v[rows, None] - v[None, rows.start :]) * self.qs[rows, rows.start :]
             yield rows, q[self._upper(rows)]
 
-    def pair_nodes(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
-        """Node indices (i, j) of the pairs in the block of ``rows``, in the
-        order ``upper_quotients`` yields them."""
-        a, c = np.nonzero(self._upper(rows))
-        return rows.start + a, rows.start + c
+    def pair_values(self, fn: Callable[..., np.ndarray], *vs: np.ndarray) -> np.ndarray:
+        """One pair-length vector in the order of ``pair_wen``: fn of the
+        block quotients of the pairs i < j of every function in vs, filled
+        block by block."""
+        out = np.empty(len(self.pair_wen))
+        at = 0
+        for blocks in zip(*(self.upper_quotients(v) for v in vs)):
+            vals = fn(*(q for _, q in blocks))
+            out[at : at + len(vals)] = vals
+            at += len(vals)
+        return out
+
+    def parked_normals(self, v: np.ndarray, limit: int) -> list[np.ndarray]:
+        """Normals of the pair quotients of v parked at |q| = 1 (to 1e-8),
+        for the first ``limit`` such pairs i < j in pair order: the gradient
+        of q_ij in v, qs_ij sign(q_ij) at node i and its negative at j."""
+        normals = []
+        for rows, q in self.upper_quotients(v):
+            hits = np.nonzero(np.abs(np.abs(q) - 1.0) <= 1e-8)[0][: limit - len(normals)]
+            if len(hits):
+                # node indices of the block's pairs, in the order of q
+                a, c = np.nonzero(self._upper(rows))
+                for i, j, m in zip(rows.start + a[hits], rows.start + c[hits], hits):
+                    nvec = np.zeros_like(v)
+                    scale = self.qs[i, j] * np.sign(q[m])
+                    nvec[i], nvec[j] = scale, -scale
+                    normals.append(nvec)
+            if len(normals) == limit:
+                break
+        return normals
 
 
 # elements per block of a pair pass (256 KiB of float64): large enough to
@@ -198,36 +221,27 @@ def _angular_rays(grid: Grid):
     Returns exit distances r(theta) from each node to the rectangle boundary
     and the matching angular weights, shapes (N, 4 * _THETA_ORDER).
     """
-    order = _THETA_ORDER
-    x, w = _gauss(order)
+    x, w = _gauss(_THETA_ORDER)
     (a1, b1), (a2, b2) = grid.bounds
     corners = np.array([[a1, a2], [b1, a2], [b1, b2], [a1, b2]])
-    N = grid.node_count
-    T = 4 * order
-    dist = np.empty((N, T))
-    wout = np.empty((N, T))
-    for i, p in enumerate(grid.nodes):
-        ang = np.sort(np.arctan2(corners[:, 1] - p[1], corners[:, 0] - p[0]))
-        edges = np.concatenate([ang, [ang[0] + 2.0 * np.pi]])
-        thetas = np.empty(T)
-        weights = np.empty(T)
-        for k in range(4):
-            half = 0.5 * (edges[k + 1] - edges[k])
-            mid = 0.5 * (edges[k + 1] + edges[k])
-            thetas[k * order : (k + 1) * order] = mid + half * x
-            weights[k * order : (k + 1) * order] = w * half
-        c, sn = np.cos(thetas), np.sin(thetas)
-        r = np.full(T, np.inf)
-        with np.errstate(divide="ignore"):
-            for lo, hi, comp in ((a1, b1, 0), (a2, b2, 1)):
-                d = c if comp == 0 else sn
-                cand_hi = (hi - p[comp]) / d
-                cand_lo = (lo - p[comp]) / d
-                r = np.minimum(r, np.where(cand_hi > 0, cand_hi, np.inf))
-                r = np.minimum(r, np.where(cand_lo > 0, cand_lo, np.inf))
-        dist[i] = r
-        wout[i] = weights
-    return dist, wout
+    p = grid.nodes
+    # each node's corner directions in increasing order, closed by the first
+    # one a full turn later: the edges of its four panels, one node per row
+    ang = np.sort(np.arctan2(corners[:, 1] - p[:, 1:], corners[:, 0] - p[:, :1]), axis=1)
+    edges = np.concatenate([ang, ang[:, :1] + 2.0 * np.pi], axis=1)
+    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
+    thetas = (mid[:, :, None] + half[:, :, None] * x).reshape(len(p), -1)
+    weights = (w * half[:, :, None]).reshape(len(p), -1)
+    # each axis: its two faces, the direction component and the node coordinate
+    axes = ((a1, b1, np.cos(thetas), p[:, :1]), (a2, b2, np.sin(thetas), p[:, 1:]))
+    r = np.full(thetas.shape, np.inf)
+    with np.errstate(divide="ignore"):
+        for lo, hi, d, pc in axes:
+            for side in (hi, lo):
+                cand = (side - pc) / d
+                r = np.minimum(r, np.where(cand > 0, cand, np.inf))
+    return r, weights
 
 
 # least recently used kernels beyond this count are dropped; one verify
@@ -246,35 +260,6 @@ def get_kernel(grid: Grid, params: OperatorParams) -> _Kernel:
     else:
         _KERNELS.move_to_end(key)
     return kern
-
-
-# tabulated primitive Ghat(x) = int_0^x G(sigma)/sigma dsigma per growth
-# function; a knot sits exactly at sigma = 1 so piecewise families keep
-# their density corner at a panel boundary and every panel stays smooth.
-# Weakly keyed: a table lives only as long as its growth function.
-_HATS: "weakref.WeakKeyDictionary[YoungFunction, _LogLogTable]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _hat_table(yf: YoungFunction) -> _LogLogTable:
-    if yf in _HATS:
-        return _HATS[yf]
-    x, w = _gauss(8)
-    # head: geometric bisection toward 0; integrand ~ sigma**(p_minus - 1)
-    total = 0.0
-    hi = _KNOTS[0]
-    for _ in range(1200):
-        lo = 0.5 * hi
-        mid = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
-        contrib = float(np.sum(w * yf.evaluate(mid) / mid) * 0.5 * (hi - lo))
-        total += contrib
-        if contrib < max(1e-300, abs(total)) * 1e-16:
-            break
-        hi = lo
-    table = _LogLogTable(_KNOTS, _panel_integral(lambda t: yf.evaluate(t) / t, total))
-    _HATS[yf] = table
-    return table
 
 
 def s_quotient(u: DiscreteFunction, x, y, s: float) -> float:
@@ -316,8 +301,8 @@ def _slope_bands(yf: YoungFunction, t: np.ndarray, g_mid: np.ndarray):
     density a relative hair to either side.
     """
     # window wide enough to catch quotients parked at a jump to within the
-    # rounding noise of the stalled line search, narrow enough to add only
-    # O(1e-9) slack for smooth densities
+    # rounding noise of the stalled line search; it opens for every family,
+    # and its 1e-9 relative slack per pair is summed over a kernel row
     side = np.abs(t)
     side *= 1.0 - 1e-9
     g_left = yf.g(side)
@@ -390,8 +375,7 @@ def apply_operator(
 def pair_samples(u: DiscreteFunction, params: OperatorParams) -> WeightedSamples:
     """Interior pair quotients as weighted samples (ordered-pair weights)."""
     kern = get_kernel(u.grid, params)
-    q = np.concatenate([q for _, q in kern.upper_quotients(u.values)])
-    return WeightedSamples(np.abs(q, out=q), kern.pair_wen)
+    return WeightedSamples(kern.pair_values(np.abs, u.values), kern.pair_wen)
 
 
 def _energy_scaled(
@@ -402,14 +386,13 @@ def _energy_scaled(
     G is evaluated row block by row block into one pair-length vector,
     which a single dot product reduces.
     """
-    vals = np.empty(len(kern.pair_wen))
-    at = 0
-    for _, q in kern.upper_quotients(u):
+
+    def scaled_G(q: np.ndarray) -> np.ndarray:
         np.abs(q, out=q)
         q /= lam
-        vals[at : at + len(q)] = yf.evaluate(q)
-        at += len(q)
-    total = float(np.dot(kern.pair_wen, vals))
+        return yf.evaluate(q)
+
+    total = float(np.dot(kern.pair_wen, kern.pair_values(scaled_G, u)))
     nz = u != 0.0
     if np.any(nz):
         hat = _hat_table(yf)
@@ -435,6 +418,47 @@ def energy_gradient(
     return 2.0 * u.grid.node_weight * apply_operator(u, yf, params)
 
 
+def _energy_hessian(
+    grid: Grid,
+    yf: YoungFunction,
+    params: OperatorParams,
+    u: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Dense second derivative of the modular energy at u, formed in row
+    blocks and written into the top-left N x N corner of ``out``.
+
+    Pair terms use secant density slopes, so a quotient parked on a density
+    jump receives a huge curvature entry that pins it in Newton steps; the
+    exterior curvature is the exact derivative of G(x)/x.
+    """
+    kern = get_kernel(grid, params)
+    hn = grid.node_weight
+    N = len(u)
+    H = out[:N, :N]
+    for rows in _row_blocks(N):
+        qs = kern.qs[rows]
+        wfull = hn * kern.wop[rows] / np.where(qs > 0, qs, 1.0)
+        aq = np.abs(kern.quotients(u, rows))
+        dq = 1e-7 * (1.0 + aq)
+        gp = (yf.g(aq + dq) - yf.g(np.maximum(aq - dq, 0.0))) / (2.0 * dq)
+        C = 2.0 * wfull * gp * qs**2
+        # diag(row sums of C) - C, one row block at a time
+        block = H[rows]
+        np.subtract(0.0, C, out=block)
+        own = np.arange(rows.stop - rows.start)
+        block[own, rows.start + own] = np.sum(C, axis=1) - C[own, rows.start + own]
+    x = np.abs(u)[:, None] * kern.ray_scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        safe = np.where(x > 0, x, 1.0)
+        hpp = np.where(x > 0, (yf.g(x) - yf(x) / safe) / safe, 0.0)
+    ext_diag = (2.0 * hn / params.s) * np.sum(
+        kern.ray_w * kern.ray_scale**2 * hpp, axis=1
+    )
+    H[np.diag_indices_from(H)] += ext_diag
+    return H
+
+
 def gagliardo_seminorm(
     u: DiscreteFunction, yf: YoungFunction, params: OperatorParams
 ) -> float:
@@ -443,3 +467,59 @@ def gagliardo_seminorm(
         return 0.0
     kern = get_kernel(u.grid, params)
     return luxemburg_scale(lambda lam: _energy_scaled(u.values, yf, kern, lam))
+
+
+def pair_test_margin(
+    u: DiscreteFunction,
+    w: DiscreteFunction,
+    yf: YoungFunction,
+    params: OperatorParams,
+) -> float:
+    """Minimum of g(D_s u) * D_s w - p_minus * G(|D_s w|) over node pairs.
+
+    Valid whenever w = (u - level)_+ for some level >= 0, including the
+    exterior rays where u and w both vanish outside the domain.  A
+    nonnegative return certifies the pointwise test-function inequality.
+    """
+    kern = get_kernel(u.grid, params)
+    uu, ww = u.values, w.values
+
+    def margins(qu: np.ndarray, qw: np.ndarray) -> np.ndarray:
+        lhs = yf.slope_odd(qu) * qw
+        lhs -= yf.p_minus * yf(np.abs(qw))
+        return lhs
+
+    # one pair-length vector and one min over it: the sign a zero margin
+    # takes depends on the layout the min sees
+    margin = float(np.min(kern.pair_values(margins, uu, ww)))
+    # exterior rays: quotients u_i / d**s and w_i / d**s
+    ext = margins(uu[:, None] * kern.ray_scale, ww[:, None] * kern.ray_scale)
+    return min(margin, float(np.min(ext)))
+
+
+def holder_seminorm(u: DiscreteFunction, alpha: float) -> float:
+    """Discrete Hoelder seminorm sup |u(x) - u(y)| / |x - y|**alpha.
+
+    Includes, for every node in the first layer along a face, a virtual
+    exterior partner at distance h across the boundary carrying the value 0,
+    which captures the decay forced by the exterior condition.
+    """
+    if not (0.0 < alpha < 1.0):
+        raise ValueError("Hoelder exponent must lie in (0, 1)")
+    grid, v = u.grid, u.values
+    pts = grid.nodes
+    N = grid.node_count
+    tops = []
+    for rows in _row_blocks(N, upper=True):
+        upper = _upper_mask(rows.stop - rows.start, N - rows.start)
+        dv = (v[rows, None] - v[None, rows.start :])[upper]
+        D = _distances(pts, rows, rows.start)[upper]
+        tops.append(np.max(np.abs(dv) / D**alpha))
+    best = float(np.max(tops))
+    h = grid.h
+    for k in range(grid.dim):
+        for first in (grid.bounds[k, 0] + 0.5 * h, grid.bounds[k, 1] - 0.5 * h):
+            layer = np.abs(pts[:, k] - first) < 1e-9 * h
+            if np.any(layer):
+                best = max(best, float(np.max(np.abs(v[layer]))) / h**alpha)
+    return best

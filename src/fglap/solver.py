@@ -37,11 +37,9 @@ from .operator import (
     OperatorParams,
     _Kernel,
     _Pass,
-    _distances,
+    _energy_hessian,
     _operator_pass,
-    _row_blocks,
     _slope_bands,
-    _upper_mask,
     apply_operator,
     energy,
     get_kernel,
@@ -49,7 +47,7 @@ from .operator import (
 from .young import (
     WeightedSamples,
     YoungFunction,
-    _replay_bisection,
+    _modular_scale,
     modular,
     sequence_threshold,
     sobolev_conjugate,
@@ -73,8 +71,6 @@ __all__ = [
     "fit_recursion",
     "check_recursive_bound",
     "sup_norm",
-    "holder_seminorm",
-    "pair_test_margin",
     "truncation_energy_report",
 ]
 
@@ -115,16 +111,18 @@ _POLISH_STEPS = 40
 # averaging weight and sweep budget of the Picard iteration
 _PICARD_DAMPING = 0.5
 _MAX_SWEEPS = 200
+# parked pair quotients a crease slide keeps tangent to, the first in pair order
+_CREASES = 32
 
 
 @dataclass
 class EigenResult:
     """Converged eigenpair with its modular level and iteration diagnostics.
 
-    ``residual`` is the sup-norm of the Euler-Lagrange defect in operator
-    units, sup_k |2 A(u)_k - lambda g(u_k)|; for densities with jumps it is
-    the per-node distance to the interval of one-sided defects, which is
-    what can actually vanish at minimizers parked on the jump atoms.
+    ``residual`` is the stationarity measure in operator units: the plain
+    defect sup_k |2 A(u)_k - lambda g(u_k)| when that meets the tolerance,
+    else the looser measure of :func:`_subdifferential_residual`, which can
+    meet it for a smooth family whose plain defect at ``lam`` does not.
     """
 
     u: DiscreteFunction
@@ -170,54 +168,6 @@ def domain_modular(u: DiscreteFunction, yf: YoungFunction) -> float:
     return modular(yf, WeightedSamples(u.values, w))
 
 
-def _modular_scale(values: np.ndarray, weight: float, yf: YoungFunction, mu: float) -> float:
-    """Scale c with weight * sum G(|values| / c) = mu, by bracketed bisection.
-
-    The bracket comes from the index sandwich: with r = modular / mu the
-    scale lies between r**(1/p_plus) and r**(1/p_minus) (order swapped for
-    r < 1); a hair of slack covers families with sampled index bounds.
-
-    The result is the bisection's own bits: :func:`_replay_bisection` skips
-    only midpoints outside a window whose ends clear mu by a relative margin
-    of 8 eps (4 + p_plus + log2 N).  That is at least twice the rounding
-    error of the modular: eps/2 per quotient times the elasticity, a few
-    ulps per G, and eps/2 per addition along numpy's pairwise sum, at most
-    about 20 + log2 N of them.
-    """
-    absv = np.abs(values)
-
-    def mod(c: float) -> float:
-        return weight * float(np.sum(yf(absv / c)))
-
-    r = mod(1.0) / mu
-    if r == 0.0:
-        raise ValueError("cannot rescale the zero function to a positive modular")
-    br = sorted((r ** (1.0 / yf.p_plus), r ** (1.0 / yf.p_minus)))
-    lo, hi = br[0] * (1.0 - 1e-9), br[1] * (1.0 + 1e-9)
-    flo, fhi = mod(lo), mod(hi)
-    for _ in range(200):
-        if flo >= mu >= fhi:
-            break
-        lo *= 0.5
-        hi *= 2.0
-        flo, fhi = mod(lo), mod(hi)
-    # bisect to the floating-point floor: downstream line searches compare
-    # energies whose differences can sit near machine precision, so the
-    # renormalization must not inject rounding noise of its own
-    margin = 8.0 * np.finfo(float).eps * (4.0 + yf.p_plus + np.log2(len(absv)))
-    return _replay_bisection(
-        mod,
-        lo,
-        hi,
-        steps=110,
-        decide=lambda v: 1 if v > mu else -1,
-        upper=mu * (1.0 + margin),
-        lower=mu * (1.0 - margin),
-        seeds=((lo, flo), (hi, fhi)),
-        adjacent_stop=True,
-    )
-
-
 def normalize_to_modular(u: DiscreteFunction, yf: YoungFunction, mu: float) -> DiscreteFunction:
     """Rescale u so that its domain modular equals mu (within 1e-10 relative)."""
     if not mu > 0:
@@ -238,54 +188,16 @@ def _bump(grid: Grid) -> np.ndarray:
     return vals
 
 
-def _energy_hessian(
-    grid: Grid,
-    yf: YoungFunction,
-    params: OperatorParams,
-    u: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    """Dense second derivative of the modular energy at u, formed in row
-    blocks and written into the top-left N x N corner of ``out``.
-
-    Pair terms use secant density slopes, so a quotient parked on a density
-    jump receives a huge curvature entry that pins it in Newton steps; the
-    exterior curvature is the exact derivative of G(x)/x.
-    """
-    kern = get_kernel(grid, params)
-    hn = grid.node_weight
-    N = len(u)
-    H = out[:N, :N]
-    for rows in _row_blocks(N):
-        qs = kern.qs[rows]
-        wfull = hn * kern.wop[rows] / np.where(qs > 0, qs, 1.0)
-        aq = np.abs(kern.quotients(u, rows))
-        dq = 1e-7 * (1.0 + aq)
-        gp = (yf.g(aq + dq) - yf.g(np.maximum(aq - dq, 0.0))) / (2.0 * dq)
-        C = 2.0 * wfull * gp * qs**2
-        # diag(row sums of C) - C, one row block at a time
-        block = H[rows]
-        np.subtract(0.0, C, out=block)
-        own = np.arange(rows.stop - rows.start)
-        block[own, rows.start + own] = np.sum(C, axis=1) - C[own, rows.start + own]
-    x = np.abs(u)[:, None] * kern.ray_scale
-    with np.errstate(divide="ignore", invalid="ignore"):
-        safe = np.where(x > 0, x, 1.0)
-        hpp = np.where(x > 0, (yf.g(x) - yf(x) / safe) / safe, 0.0)
-    ext_diag = (2.0 * hn / params.s) * np.sum(
-        kern.ray_w * kern.ray_scale**2 * hpp, axis=1
-    )
-    H[np.diag_indices_from(H)] += ext_diag
-    return H
-
-
 def _subdifferential_residual(
     yf: YoungFunction, op: _Pass, v: np.ndarray, lam: float
 ) -> float:
     """Sup over nodes of the distance from 0 to the interval of possible
     Euler-Lagrange defects 2 A_sel(v) - lam' * g_sel(v), minimized over
-    one-sided density selections and over multipliers lam' near lam.
-    Coincides with sup|2A - lam g(v)| for smooth densities.
+    one-sided density selections and over multipliers lam'.  For every
+    family, smooth ones too, lam' is searched in [0.9 lam, 1.1 lam] and the
+    bands widen each pair density by 1e-9 relative, summed over a kernel
+    row, so the value can sit below sup|2A - lam g(v)| at the reported lam.
+    Item 1 of ROADMAP.md tightens it to declared density atoms and lam.
 
     ``op`` is the operator pass at v, formed with bands; its band row sums
     and exterior term are reused.
@@ -478,21 +390,10 @@ def _descend(
 
 def _crease_direction(kern: _Kernel, v: np.ndarray, p: _Probe) -> Optional[np.ndarray]:
     """Gradient projected tangent to the sphere and to every quotient parked
-    on a density-jump surface (the first 32 in pair order), so the iterate
+    on a density-jump surface (the first _CREASES in pair order), so the iterate
     can slide along the creases that block the plain direction."""
     A2, gv = p.grad, p.normal
-    normals = []
-    for rows, q in kern.upper_quotients(v):
-        hits = np.nonzero(np.abs(np.abs(q) - 1.0) <= 1e-8)[0][: 32 - len(normals)]
-        if len(hits):
-            i, j = kern.pair_nodes(rows)
-            for m in hits:
-                nvec = np.zeros_like(v)
-                scale = kern.qs[i[m], j[m]] * np.sign(q[m])
-                nvec[i[m]], nvec[j[m]] = scale, -scale
-                normals.append(nvec)
-        if len(normals) == 32:
-            break
+    normals = kern.parked_normals(v, _CREASES)
     if not normals:
         return None
     B = np.column_stack([gv, *normals])
@@ -516,8 +417,8 @@ def solve_eigen(
     Runs the descent core on { int G(|u|) = mu }: the energy is the
     objective, renormalization onto the sphere the projection, and the
     iterate slides along active density-jump creases when plain descent is
-    blocked.  Convergence is reached when the stationarity defect
-    (sup |2 A(u) - lambda g(u)|, interval-valued at jump atoms) drops below
+    blocked.  Convergence is reached when the measured stationarity defect,
+    as :class:`EigenResult` describes its ``residual``, drops below
     opts.tol.
     """
     if not mu > 0:
@@ -834,68 +735,6 @@ def check_recursive_bound(trace: DeGiorgiTrace) -> RecursionFitReport:
 
 def sup_norm(u: DiscreteFunction) -> float:
     return float(np.max(np.abs(u.values))) if u.grid.node_count else 0.0
-
-
-def holder_seminorm(u: DiscreteFunction, alpha: float) -> float:
-    """Discrete Hoelder seminorm sup |u(x) - u(y)| / |x - y|**alpha.
-
-    Includes, for every node in the first layer along a face, a virtual
-    exterior partner at distance h across the boundary carrying the value 0,
-    which captures the decay forced by the exterior condition.
-    """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("Hoelder exponent must lie in (0, 1)")
-    grid, v = u.grid, u.values
-    pts = grid.nodes
-    N = grid.node_count
-    tops = []
-    for rows in _row_blocks(N, upper=True):
-        upper = _upper_mask(rows.stop - rows.start, N - rows.start)
-        dv = (v[rows, None] - v[None, rows.start :])[upper]
-        D = _distances(pts, rows, rows.start)[upper]
-        tops.append(np.max(np.abs(dv) / D**alpha))
-    best = float(np.max(tops))
-    h = grid.h
-    for k in range(grid.dim):
-        for side in (0, 1):
-            first = grid.bounds[k, 0] + 0.5 * h if side == 0 else grid.bounds[k, 1] - 0.5 * h
-            layer = np.abs(pts[:, k] - first) < 1e-9 * h
-            if np.any(layer):
-                best = max(best, float(np.max(np.abs(v[layer]))) / h**alpha)
-    return best
-
-
-def pair_test_margin(
-    u: DiscreteFunction,
-    w: DiscreteFunction,
-    yf: YoungFunction,
-    params: OperatorParams,
-) -> float:
-    """Minimum of g(D_s u) * D_s w - p_minus * G(|D_s w|) over node pairs.
-
-    Valid whenever w = (u - level)_+ for some level >= 0, including the
-    exterior rays where u and w both vanish outside the domain.  A
-    nonnegative return certifies the pointwise test-function inequality.
-    """
-    kern = get_kernel(u.grid, params)
-    s = params.s
-    uu, ww = u.values, w.values
-    # one pair-length vector and one min over it: the sign a zero margin
-    # takes depends on the layout the min sees
-    vals = np.empty(len(kern.pair_wen))
-    at = 0
-    for (_, qu), (_, qw) in zip(kern.upper_quotients(uu), kern.upper_quotients(ww)):
-        lhs = yf.slope_odd(qu) * qw
-        lhs -= yf.p_minus * yf(np.abs(qw))
-        vals[at : at + len(lhs)] = lhs
-        at += len(lhs)
-    margin = float(np.min(vals))
-    # exterior rays: quotients u_i / d**s and w_i / d**s
-    scale = kern.ray_dist ** (-s)
-    qu_e = uu[:, None] * scale
-    qw_e = ww[:, None] * scale
-    ext = yf.slope_odd(qu_e) * qw_e - yf.p_minus * yf(np.abs(qw_e))
-    return min(margin, float(np.min(ext)))
 
 
 def truncation_energy_report(

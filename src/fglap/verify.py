@@ -21,6 +21,8 @@ from .operator import (
     energy,
     energy_gradient,
     gagliardo_seminorm,
+    holder_seminorm,
+    pair_test_margin,
     s_quotient,
 )
 from .solver import (
@@ -28,8 +30,6 @@ from .solver import (
     SolveOptions,
     degiorgi_trace,
     domain_modular,
-    holder_seminorm,
-    pair_test_margin,
     solve_eigen,
     sup_norm,
     truncation_energy_report,

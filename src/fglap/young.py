@@ -29,6 +29,7 @@ read-only and safe to share between threads.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -705,7 +706,8 @@ def sobolev_conjugate(
     the integral divergent at infinity.  The inverse is tabulated on a log
     grid (geometric grading toward 0 for the singular head), then inverted
     through monotone log-log interpolation.  ``inverse_fn`` of the result is
-    the tabulated integral itself.
+    the tabulated integral itself.  Where G* overflows to inf, its density
+    reads inf.
     """
     if not (0.0 < s < 1.0):
         raise EmbeddingConditionError(f"smoothness order must lie in (0,1), got {s}")
@@ -737,8 +739,10 @@ def sobolev_conjugate(
 
     def dv(t):
         tau = np.asarray(fwd_table(t), dtype=float)
-        out = np.zeros_like(tau)
-        pos = tau > 0
+        # g* >= G*(t) / t, so where the table of G* overflows the density
+        # is infinite too; the inverse of G is not evaluated there
+        out = np.where(tau == np.inf, np.inf, 0.0)
+        pos = (tau > 0) & (tau < np.inf)
         tp = tau[pos]
         gi = ginv(tp)
         # the singular weight overflows where tau is tiny (the density
@@ -766,6 +770,35 @@ def sobolev_conjugate(
         f"sobolev_conjugate({yf.label};s={s:g},n={n})",
         inv,
     )
+
+
+# tabulated primitive Ghat(x) = int_0^x G(sigma)/sigma dsigma per growth
+# function, for the operator's exterior rays; a knot sits exactly at sigma = 1
+# so piecewise families keep their density corner at a panel boundary and
+# every panel stays smooth.  Weakly keyed: lives as long as its function.
+_HATS: "weakref.WeakKeyDictionary[YoungFunction, _LogLogTable]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _hat_table(yf: YoungFunction) -> _LogLogTable:
+    if yf in _HATS:
+        return _HATS[yf]
+    x, w = _gauss(8)
+    # head: geometric bisection toward 0; integrand ~ sigma**(p_minus - 1)
+    total = 0.0
+    hi = _KNOTS[0]
+    for _ in range(1200):
+        lo = 0.5 * hi
+        mid = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
+        contrib = float(np.sum(w * yf.evaluate(mid) / mid) * 0.5 * (hi - lo))
+        total += contrib
+        if contrib < max(1e-300, abs(total)) * 1e-16:
+            break
+        hi = lo
+    table = _LogLogTable(_KNOTS, _panel_integral(lambda t: yf.evaluate(t) / t, total))
+    _HATS[yf] = table
+    return table
 
 
 def embedding_composition(
@@ -1000,6 +1033,54 @@ def luxemburg_scale(
         upper=(1.0 + tol) * (1.0 + _LUXEMBURG_MARGIN),
         lower=(1.0 - tol) * (1.0 - _LUXEMBURG_MARGIN),
         seeds=seeds,
+    )
+
+
+def _modular_scale(values: np.ndarray, weight: float, yf: YoungFunction, mu: float) -> float:
+    """Scale c with weight * sum G(|values| / c) = mu, by bracketed bisection.
+
+    The bracket comes from the index sandwich: with r = modular / mu the
+    scale lies between r**(1/p_plus) and r**(1/p_minus) (order swapped for
+    r < 1); a hair of slack covers families with sampled index bounds.
+
+    The result is the bisection's own bits: :func:`_replay_bisection` skips
+    only midpoints outside a window whose ends clear mu by a relative margin
+    of 8 eps (4 + p_plus + log2 N).  That is at least twice the rounding
+    error of the modular: eps/2 per quotient times the elasticity, a few
+    ulps per G, and eps/2 per addition along numpy's pairwise sum, at most
+    about 20 + log2 N of them.
+    """
+    absv = np.abs(values)
+
+    def mod(c: float) -> float:
+        return weight * float(np.sum(yf(absv / c)))
+
+    r = mod(1.0) / mu
+    if r == 0.0:
+        raise ValueError("cannot rescale the zero function to a positive modular")
+    br = sorted((r ** (1.0 / yf.p_plus), r ** (1.0 / yf.p_minus)))
+    lo, hi = br[0] * (1.0 - 1e-9), br[1] * (1.0 + 1e-9)
+    flo, fhi = mod(lo), mod(hi)
+    for _ in range(200):
+        if flo >= mu >= fhi:
+            break
+        lo *= 0.5
+        hi *= 2.0
+        flo, fhi = mod(lo), mod(hi)
+    # bisect to the floating-point floor: downstream line searches compare
+    # energies whose differences can sit near machine precision, so the
+    # renormalization must not inject rounding noise of its own
+    margin = 8.0 * np.finfo(float).eps * (4.0 + yf.p_plus + np.log2(len(absv)))
+    return _replay_bisection(
+        mod,
+        lo,
+        hi,
+        steps=110,
+        decide=lambda v: 1 if v > mu else -1,
+        upper=mu * (1.0 + margin),
+        lower=mu * (1.0 - margin),
+        seeds=((lo, flo), (hi, fhi)),
+        adjacent_stop=True,
     )
 
 

@@ -29,10 +29,8 @@ from fglap import (
     scale_young,
 )
 from fglap.operator import (
-    _HATS,
-    _angular_rays,
+    _THETA_ORDER,
     _energy_scaled,
-    _hat_table,
     _Kernel,
     _operator_pass,
     _KERNEL_CAPACITY,
@@ -40,6 +38,7 @@ from fglap.operator import (
     _row_blocks,
     get_kernel,
 )
+from fglap.young import _HATS, _hat_table
 from conftest import fresh_process_env, kink_safe
 from test_young import _reference_luxemburg_scale
 
@@ -309,7 +308,8 @@ def test_directional_derivative_two_paths(families):
     rng = np.random.default_rng(7)
     u = rng.standard_normal(24)
     v = rng.standard_normal(24)
-    from fglap.operator import get_kernel, _hat_table
+    from fglap.operator import get_kernel
+    from fglap.young import _hat_table
 
     yf = families["power3.5"]
     kern = get_kernel(grid, params)
@@ -607,7 +607,61 @@ def test_streamed_kernel_is_bitwise_the_one_shot_build(bounds, cells):
         ray_dist = np.column_stack([x - a, b - x])
         ray_w = np.ones_like(ray_dist)
     else:
-        ray_dist, ray_w = _angular_rays(grid)
+        ray_dist, ray_w = _reference_angular_rays(grid)
+    assert kern.ray_dist.tobytes() == ray_dist.tobytes()
+    assert kern.ray_w.tobytes() == ray_w.tobytes()
+    assert kern.ray_scale.tobytes() == (ray_dist ** (-params.s)).tobytes()
+
+
+def _reference_angular_rays(grid):
+    """The 2d exterior ray rule formed one node at a time: Gauss panels
+    split at the node's corner directions, and the exit distance along
+    every Gauss direction."""
+    order = _THETA_ORDER
+    x, w = np.polynomial.legendre.leggauss(order)
+    (a1, b1), (a2, b2) = grid.bounds
+    corners = np.array([[a1, a2], [b1, a2], [b1, b2], [a1, b2]])
+    N = grid.node_count
+    T = 4 * order
+    dist = np.empty((N, T))
+    wout = np.empty((N, T))
+    for i, p in enumerate(grid.nodes):
+        ang = np.sort(np.arctan2(corners[:, 1] - p[1], corners[:, 0] - p[0]))
+        edges = np.concatenate([ang, [ang[0] + 2.0 * np.pi]])
+        thetas = np.empty(T)
+        weights = np.empty(T)
+        for k in range(4):
+            half = 0.5 * (edges[k + 1] - edges[k])
+            mid = 0.5 * (edges[k + 1] + edges[k])
+            thetas[k * order : (k + 1) * order] = mid + half * x
+            weights[k * order : (k + 1) * order] = w * half
+        c, sn = np.cos(thetas), np.sin(thetas)
+        r = np.full(T, np.inf)
+        with np.errstate(divide="ignore"):
+            for lo, hi, comp in ((a1, b1, 0), (a2, b2, 1)):
+                d = c if comp == 0 else sn
+                cand_hi = (hi - p[comp]) / d
+                cand_lo = (lo - p[comp]) / d
+                r = np.minimum(r, np.where(cand_hi > 0, cand_hi, np.inf))
+                r = np.minimum(r, np.where(cand_lo > 0, cand_lo, np.inf))
+        dist[i] = r
+        wout[i] = weights
+    return dist, wout
+
+
+@pytest.mark.parametrize(
+    "bounds, cells",
+    [
+        ([[0.0, 1.0], [0.0, 1.0]], (8, 8)),
+        ([[0.0, 1.3], [0.0, 1.1]], (13, 11)),
+        ([[0.0, 1.0], [0.0, 1.0]], (32, 32)),
+    ],
+)
+def test_angular_rays_are_bitwise_the_per_node_rule(bounds, cells):
+    grid = Grid.build(bounds, cells)
+    params = OperatorParams(s=0.4)
+    kern = _Kernel(grid, params)
+    ray_dist, ray_w = _reference_angular_rays(grid)
     assert kern.ray_dist.tobytes() == ray_dist.tobytes()
     assert kern.ray_w.tobytes() == ray_w.tobytes()
     assert kern.ray_scale.tobytes() == (ray_dist ** (-params.s)).tobytes()

@@ -38,8 +38,8 @@ from fglap import (
 )
 from fglap.operator import (
     _KERNELS,
+    _energy_hessian,
     _exterior_operator,
-    _hat_table,
     _operator_pass,
     get_kernel,
 )
@@ -47,10 +47,9 @@ from fglap import solver
 from fglap.solver import (
     _Probe,
     _crease_direction,
-    _energy_hessian,
-    _modular_scale,
     _subdifferential_residual,
 )
+from fglap.young import _hat_table, _modular_scale
 from test_operator import _MULTI_BLOCK_GRIDS, dense_linear_matrix_1d, linear_family
 
 
@@ -334,7 +333,7 @@ def _reference_subdifferential_residual(yf, kern, v, lam):
         neg = t < 0
         return np.where(neg, -hi, lo), np.where(neg, -lo, hi)
 
-    b_lo, b_hi = bands(kern.quotients(v))
+    b_lo, b_hi = bands(kern.quotients(v, slice(None)))
     ext = _exterior_operator(v, yf, kern)
     a_lo = 2.0 * (np.sum(b_lo * kern.wop, axis=1) + ext)
     a_hi = 2.0 * (np.sum(b_hi * kern.wop, axis=1) + ext)
@@ -389,7 +388,7 @@ def test_operator_pass_is_bitwise_the_reference(families, family, bounds, cells)
                 pytest.fail(f"pair (0, {k}) does not park on |q| = 1 in {_PARK_STEPS} steps")
             x = np.nextafter(x, np.inf if x * kern.qs[0, k] < 1.0 else -np.inf)
         v[k] = x
-    q = kern.quotients(v)
+    q = kern.quotients(v, slice(None))
     assert np.count_nonzero(q == 1.0) == 4 and np.count_nonzero(q == -1.0) == 4
 
     op = _operator_pass(v, yf, kern, bands=True)
@@ -426,7 +425,7 @@ def _reference_energy_hessian(grid, yf, params, u):
     with np.errstate(divide="ignore"):
         wfull = hn * kern.wop / np.where(kern.qs > 0, kern.qs, 1.0)
     np.fill_diagonal(wfull, 0.0)
-    quot = kern.quotients(u)
+    quot = kern.quotients(u, slice(None))
     aq = np.abs(quot)
     dq = 1e-7 * (1.0 + aq)
     gp = (yf.g(aq + dq) - yf.g(np.maximum(aq - dq, 0.0))) / (2.0 * dq)
@@ -533,8 +532,8 @@ def test_pair_test_margin_is_bitwise_the_triu_form(families, bounds, cells):
         u = DiscreteFunction(grid, rng.standard_normal(grid.node_count))
         # many pairs with w = 0 at both ends, so zero margins of both signs
         w = u.with_values(np.maximum(u.values - 0.3, 0.0))
-        qu = kern.quotients(u.values)
-        qw = kern.quotients(w.values)
+        qu = kern.quotients(u.values, slice(None))
+        qw = kern.quotients(w.values, slice(None))
         lhs = yf.slope_odd(qu) * qw
         rhs = yf.p_minus * yf(np.abs(qw))
         ref = float(np.min((lhs - rhs)[iu]))

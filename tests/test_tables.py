@@ -7,7 +7,7 @@ from scipy.interpolate import PchipInterpolator
 
 from fglap import embedding_composition, sobolev_conjugate
 from fglap import young
-from fglap.operator import _hat_table
+from fglap.young import _hat_table
 
 
 class _ScipyTable:

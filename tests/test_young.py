@@ -332,6 +332,44 @@ def test_sobolev_conjugate_density_survives_weight_underflow(families, embedding
     assert np.array_equal(gstar.g(t).view(np.uint64), plain.view(np.uint64))
 
 
+def _split_conjugate_density(yf, gstar, t, s_over_n):
+    """The density as formed before overflow of G* was handled: the plain
+    formula where the weight tau**(-1 - s/n) is normal, and
+    (tau / G^{-1}(tau)) * tau**(s/n) where it is not."""
+    tau = np.asarray(gstar(t))
+    out = np.zeros_like(tau)
+    pos = tau > 0
+    tp = tau[pos]
+    gi = np.asarray(inverse(yf, tp))
+    with np.errstate(over="ignore"):
+        decay = tp ** (-1.0 - s_over_n)
+    far = decay < np.finfo(float).tiny
+    dens = np.empty_like(tp)
+    dens[~far] = 1.0 / (gi[~far] * decay[~far])
+    dens[far] = (tp[far] / gi[far]) * tp[far] ** s_over_n
+    out[pos] = dens
+    return out
+
+
+@pytest.mark.parametrize("name", ["power3.5", "summix"])
+def test_sobolev_conjugate_density_where_it_overflows(families, embedding, gstars, name):
+    yf, gstar = families[name], gstars[name]
+    s, n = embedding[name]
+    assert (s, n) == (0.5, 2)
+    t = np.concatenate([np.logspace(-14.0, 30.0, 441), [np.inf]])
+    # the table of G* overflowing to inf is a correct result
+    with np.errstate(over="ignore"):
+        G = gstar(t)
+        got = gstar.g(t)
+    big = G == np.inf
+    assert np.any(big)
+    assert not np.any(np.isnan(got))
+    assert np.array_equal(got == np.inf, big)
+    with np.errstate(over="ignore"):
+        ref = _split_conjugate_density(yf, gstar, t[~big], s / n)
+    assert np.array_equal(got[~big].view(np.uint64), ref.view(np.uint64))
+
+
 def test_sobolev_conjugate_requires_subcritical_growth():
     with pytest.raises(EmbeddingConditionError):
         sobolev_conjugate(make_power(2.0), 0.5, 1)
