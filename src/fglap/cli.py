@@ -7,9 +7,10 @@ Commands (chosen by the ``command`` field of the JSON config):
   degiorgi    solve, then run the truncation diagnostic
   verify      run every registered invariant check
 
-Exit codes: 0 success, 2 malformed configuration, 3 solver non-convergence,
-4 failed verification checks.  For a fixed config, seed and BLAS thread
-count all artifacts are byte-identical run to run.
+Exit codes: 0 success, 2 malformed configuration (an unknown or wrong-typed
+key, a missing section, or a growth-function record missing a parameter),
+3 solver non-convergence, 4 failed verification checks.  For a fixed config,
+seed and BLAS thread count all artifacts are byte-identical run to run.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ import json
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
-from .grids import Grid, GridError, refine
+from .grids import Grid, refine
 from .operator import OperatorParams, apply_operator, holder_seminorm
 from .solver import (
     ConvergenceError,
@@ -35,8 +35,6 @@ from .solver import (
     sup_norm,
 )
 from .young import (
-    EmbeddingConditionError,
-    YoungFunctionError,
     conjugate,
     embedding_composition,
     indicator_gauge,
@@ -48,84 +46,91 @@ __all__ = ["main", "normalize_config", "run_command", "ConfigError"]
 
 
 class ConfigError(ValueError):
-    """The run configuration violates the schema or a precondition."""
+    """The run configuration has a bad key or violates a precondition."""
 
 
-_YOUNG_SCHEMA = {
-    "type": "object",
-    "properties": {"family": {"type": "string"}},
-    "required": ["family"],
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _record(v) -> bool:
+    return isinstance(v, dict) and isinstance(v.get("family"), str)
+
+
+def _grid(v) -> bool:
+    if not isinstance(v, dict):
+        return False
+    cells = v.get("cells")
+    return isinstance(v.get("bounds"), list) and (
+        _integer(cells) or isinstance(cells, list)
+    )
+
+
+# the keys each command requires
+_REQUIRED = {
+    "young": ("young", "n"),
+    "solve": ("young", "grid"),
+    "semilinear": ("young", "grid", "semilinear"),
+    "degiorgi": ("young", "grid"),
+    "verify": (),
 }
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "command": {"enum": ["young", "solve", "semilinear", "degiorgi", "verify"]},
-        "young": _YOUNG_SCHEMA,
-        "s": {"type": "number"},
-        "n": {"type": "integer", "minimum": 1, "maximum": 2},
-        "grid": {
-            "type": "object",
-            "properties": {
-                "bounds": {"type": "array"},
-                "cells": {"type": ["integer", "array"]},
-            },
-            "required": ["bounds", "cells"],
-        },
-        "mu": {"type": "number"},
-        "tol": {"type": "number"},
-        "stagnation_tol": {"type": ["number", "null"]},
-        "max_iter": {"type": "integer", "minimum": 1},
-        "degiorgi_depth": {"type": "integer", "minimum": 1},
-        "semilinear": _YOUNG_SCHEMA,
-        "seed": {"type": "integer", "minimum": 0},
-        "points": {"type": "integer", "minimum": 2},
-        "fast": {"type": "boolean"},
-        "out": {"type": "string"},
-    },
-    "required": ["command"],
-    "additionalProperties": False,
-}
+_RECORD = "an object with a string 'family'"
 
-_DEFAULTS = {
-    "s": 0.5,
-    "mu": 1.0,
-    "tol": 1e-6,
-    "stagnation_tol": 5e-3,
-    "max_iter": 20000,
-    "degiorgi_depth": 30,
-    "seed": 0,
-    "points": 100,
-    "fast": True,
+# every config key: what its JSON value must be, the check of that, and the
+# default (None: the key stays absent unless the config gives it)
+_KEYS = {
+    "command": (
+        f"one of {', '.join(_REQUIRED)}",
+        lambda v: isinstance(v, str) and v in _REQUIRED,
+        None,
+    ),
+    "young": (_RECORD, _record, None),
+    "s": ("a number", _number, 0.5),
+    "n": ("the integer 1 or 2", lambda v: _integer(v) and 1 <= v <= 2, None),
+    "grid": ("an object with list 'bounds' and integer or list 'cells'", _grid, None),
+    "mu": ("a number", _number, 1.0),
+    "tol": ("a number", _number, 1e-6),
+    "stagnation_tol": ("a number or null", lambda v: v is None or _number(v), 5e-3),
+    "max_iter": ("an integer >= 1", lambda v: _integer(v) and v >= 1, 20000),
+    "degiorgi_depth": ("an integer >= 1", lambda v: _integer(v) and v >= 1, 30),
+    "semilinear": (_RECORD, _record, None),
+    "seed": ("an integer >= 0", lambda v: _integer(v) and v >= 0, 0),
+    "points": ("an integer >= 2", lambda v: _integer(v) and v >= 2, 100),
+    "fast": ("a boolean", lambda v: isinstance(v, bool), True),
+    "out": ("a string", lambda v: isinstance(v, str), None),
 }
 
 
 def normalize_config(cfg: dict, overrides: dict | None = None) -> dict:
-    """Validate a raw config dict and fill defaults; returns a canonical
-    dict whose serialize-parse round trip is the identity."""
+    """Check a raw config dict against ``_KEYS`` and ``_REQUIRED`` and fill
+    defaults; returns a canonical dict whose serialize-parse round trip is
+    the identity."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"a config is a JSON object, not {type(cfg).__name__}")
     merged = dict(cfg)
     if overrides:
         merged.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        jsonschema.validate(merged, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation: {exc.message}") from exc
-    out = dict(_DEFAULTS)
-    out.update(merged)
+    out = {key: d for key, (_, _, d) in _KEYS.items() if d is not None}
+    for key, value in merged.items():
+        if key not in _KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        what, valid, _ = _KEYS[key]
+        if not valid(value):
+            raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
+        out[key] = value
+    if "command" not in out:
+        raise ConfigError("config key 'command' is missing")
+    for key in _REQUIRED[out["command"]]:
+        if key not in out:
+            raise ConfigError(f"command {out['command']!r} requires the key {key!r}")
     if not (0.0 < out["s"] < 1.0):
-        raise ConfigError(
-            f"smoothness order must lie in (0, 1), got s = {out['s']}"
-        )
-    cmd = out["command"]
-    if cmd in ("young", "solve", "semilinear", "degiorgi") and "young" not in out:
-        raise ConfigError(f"command {cmd!r} requires a 'young' descriptor")
-    if cmd in ("solve", "semilinear", "degiorgi") and "grid" not in out:
-        raise ConfigError(f"command {cmd!r} requires a 'grid' section")
-    if cmd == "semilinear" and "semilinear" not in out:
-        raise ConfigError("command 'semilinear' requires a 'semilinear' descriptor")
-    if cmd == "young" and "n" not in out:
-        raise ConfigError("command 'young' requires the dimension 'n'")
-    if "mu" in out and not out["mu"] > 0:
+        raise ConfigError(f"smoothness order must lie in (0, 1), got s = {out['s']}")
+    if not out["mu"] > 0:
         raise ConfigError(f"modular level mu must be positive, got {out['mu']}")
     return out
 
@@ -143,13 +148,6 @@ def _csv(header: list[str], rows) -> str:
 
 def _json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _build_grid(cfg) -> Grid:
-    try:
-        return Grid.build(cfg["grid"]["bounds"], cfg["grid"]["cells"])
-    except GridError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _solution_csv(u) -> str:
@@ -214,7 +212,7 @@ def _solve_once(cfg, grid):
 
 def _run_solve(cfg, refine_levels: int = 0):
     """Solve and write the eigen artifacts; returns (artifacts, yf, result)."""
-    grid = _build_grid(cfg)
+    grid = Grid.build(cfg["grid"]["bounds"], cfg["grid"]["cells"])
     yf, res = _solve_once(cfg, grid)
     artifacts = {
         "eigen_result.json": _json(
@@ -253,7 +251,7 @@ def _run_solve(cfg, refine_levels: int = 0):
 
 
 def _run_semilinear(cfg) -> dict[str, str]:
-    grid = _build_grid(cfg)
+    grid = Grid.build(cfg["grid"]["bounds"], cfg["grid"]["cells"])
     yf = young_from_config(cfg["young"])
     F = young_from_config(cfg["semilinear"])
     params = OperatorParams(s=cfg["s"])
@@ -335,7 +333,7 @@ def run_command(cfg: dict, refine_levels: int = 0) -> tuple[dict[str, str], int]
             return _run_degiorgi(cfg), 0
         artifacts, ok = _run_verify(cfg)
         return artifacts, 0 if ok else 4
-    except (YoungFunctionError, EmbeddingConditionError, GridError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 

@@ -1165,24 +1165,39 @@ def young_from_config(desc: dict) -> YoungFunction:
     ``{"family": "power", "p": 2}``, or a combinator tree
     ``{"family": "sum", "parts": [...], "coefficients": [...]}``.  A record
     may be wrapped as ``{"family": "normalized", "base": {...}}`` or scaled
-    with ``{"family": "scaled", "base": {...}, "factor": c}``.
+    with ``{"family": "scaled", "base": {...}, "factor": c}``.  A record
+    that lacks a parameter, or gives one of the wrong type, raises
+    :class:`YoungFunctionError` naming the family and the key.
     """
     if not isinstance(desc, dict) or "family" not in desc:
         raise YoungFunctionError(f"malformed growth-function record: {desc!r}")
     fam = desc["family"]
+
+    def param(key, kind, what):
+        value = desc.get(key)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise YoungFunctionError(
+                f"{fam!r} record needs {what} {key!r}, got {value!r}"
+            )
+        return value
+
+    def number(key):
+        return param(key, (int, float), "a number")
+
     if fam == "power":
-        return make_power(desc["p"])
+        return make_power(number("p"))
     if fam == "power_log":
-        return make_power_log(desc["p"])
+        return make_power_log(number("p"))
     if fam == "piecewise_power":
-        return make_piecewise_power(desc["p"], desc["q"])
+        return make_piecewise_power(number("p"), number("q"))
     if fam in ("sum", "max", "compose"):
-        parts = [young_from_config(d) for d in desc["parts"]]
+        parts = [young_from_config(d) for d in param("parts", list, "a list")]
         return combine(fam, parts, desc.get("coefficients"))
     if fam == "normalized":
-        return normalize_young(young_from_config(desc["base"]))
+        return normalize_young(young_from_config(param("base", dict, "a record")))
     if fam == "scaled":
-        return scale_young(young_from_config(desc["base"]), desc["factor"])
+        base = young_from_config(param("base", dict, "a record"))
+        return scale_young(base, number("factor"))
     raise YoungFunctionError(f"unknown growth-function family {fam!r}")
 
 

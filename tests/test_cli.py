@@ -56,6 +56,57 @@ def test_schema_violations_raise_config_error():
         )
 
 
+_YOUNG_CFG = {
+    "command": "young",
+    "young": {"family": "power", "p": 2},
+    "s": 0.5,
+    "n": 2,
+    "points": 5,
+}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("max_iter", 100.0),
+        ("degiorgi_depth", 3.0),
+        ("points", 10.0),
+        ("seed", 1.0),
+        ("grid", {"bounds": [0, 1], "cells": 16.0}),
+    ],
+)
+def test_integer_keys_reject_integral_floats(tmp_path, capsys, key, value):
+    cfg = dict(_YOUNG_CFG, **{key: value})
+    with pytest.raises(ConfigError, match=repr(key)):
+        normalize_config(cfg)
+    code, _ = run_cli(tmp_path, cfg)
+    assert code == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "record, key",
+    [
+        ({"family": "power"}, "p"),
+        ({"family": "power", "p": "2"}, "p"),
+        ({"family": "piecewise_power", "p": 2}, "q"),
+        ({"family": "sum"}, "parts"),
+        ({"family": "scaled", "base": {"family": "power", "p": 2}}, "factor"),
+    ],
+)
+def test_growth_record_missing_or_non_number_parameter_exits_two(
+    tmp_path, capsys, record, key
+):
+    cfg = normalize_config(dict(_YOUNG_CFG, young=record))
+    with pytest.raises(ConfigError) as info:
+        run_command(cfg)
+    for name in (record["family"], key):
+        assert repr(name) in str(info.value)
+    code, _ = run_cli(tmp_path, cfg)
+    assert code == 2
+    assert repr(key) in capsys.readouterr().err
+
+
 def test_bad_smoothness_exit_code_and_message(tmp_path, capsys):
     cfg = {
         "command": "solve",
@@ -229,9 +280,13 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
 
 
-def test_cli_import_leaves_scipy_out():
-    # scipy is a test-only dependency; no command may pay for its import
-    code = "import sys, fglap.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def _third_party_modules(module):
+    """Top-level names outside the standard library that a fresh Python
+    holds after importing module."""
+    code = (
+        f"import sys, {module}; "
+        "print(*{m.split('.')[0] for m in sys.modules} - set(sys.stdlib_module_names))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env=fresh_process_env(),
@@ -239,7 +294,14 @@ def test_cli_import_leaves_scipy_out():
         text=True,
         check=True,
     )
-    assert proc.stdout.strip() == "[]"
+    return set(proc.stdout.split())
+
+
+def test_cli_imports_nothing_beyond_numpy():
+    # numpy is the only runtime dependency: scipy and the other test
+    # dependencies stay out of every command, and so does anything else
+    extra = _third_party_modules("fglap.cli") - _third_party_modules("numpy")
+    assert extra == {"fglap"}
 
 
 # ---------------------------------------------------------------------------

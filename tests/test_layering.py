@@ -1,6 +1,8 @@
 """Module boundaries of the package: which module may touch which internals."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,3 +56,30 @@ def test_internals_stay_in_their_module(owner, private):
         if m.name != owner
     }
     assert {name: found for name, found in leaks.items() if found} == {}
+
+
+def _declared_dependencies() -> set:
+    """Distribution names in pyproject.toml's [project].dependencies."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    deps = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    return {re.split(r"[\s<>=!~;\[]", d, maxsplit=1)[0].lower() for d in deps}
+
+
+def test_runtime_imports_are_declared():
+    # every absolute import of the package is the standard library, fglap
+    # itself or a declared dependency, so an install from pyproject.toml runs
+    allowed = set(sys.stdlib_module_names) | {"fglap"} | _declared_dependencies()
+    undeclared = {}
+    for module in sorted(_PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            top = {name.split(".")[0] for name in names} - allowed
+            if top:
+                undeclared.setdefault(module.name, set()).update(top)
+    assert undeclared == {}
