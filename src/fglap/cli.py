@@ -61,12 +61,18 @@ def _record(v) -> bool:
     return isinstance(v, dict) and isinstance(v.get("family"), str)
 
 
+def _numbers(v) -> bool:
+    return isinstance(v, list) and all(_number(x) for x in v)
+
+
 def _grid(v) -> bool:
     if not isinstance(v, dict):
         return False
-    cells = v.get("cells")
-    return isinstance(v.get("bounds"), list) and (
-        _integer(cells) or isinstance(cells, list)
+    bounds, cells = v.get("bounds"), v.get("cells")
+    return (
+        _numbers(bounds) or isinstance(bounds, list) and all(_numbers(b) for b in bounds)
+    ) and (
+        _integer(cells) or isinstance(cells, list) and all(_integer(c) for c in cells)
     )
 
 
@@ -92,7 +98,12 @@ _KEYS = {
     "young": (_RECORD, _record, None),
     "s": ("a number", _number, 0.5),
     "n": ("the integer 1 or 2", lambda v: _integer(v) and 1 <= v <= 2, None),
-    "grid": ("an object with list 'bounds' and integer or list 'cells'", _grid, None),
+    "grid": (
+        "an object with 'bounds' a list of numbers or of number lists and "
+        "'cells' an integer or a list of integers",
+        _grid,
+        None,
+    ),
     "mu": ("a number", _number, 1.0),
     "tol": ("a number", _number, 1e-6),
     "stagnation_tol": ("a number or null", lambda v: v is None or _number(v), 5e-3),

@@ -9,6 +9,7 @@ are reported as skipped rather than failed.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, asdict
 from typing import Callable, Iterable, Optional
 
@@ -223,8 +224,10 @@ def _check_superposition_norm(ctx) -> CheckResult:
         s, n = ctx.embedding[name]
         if s * yf.p_plus >= n:
             continue
-        gstar = ctx.gstar(name)
-        comp = ctx.hfun(name)
+        # the only reader of these tables: built per family and dropped
+        # before the next, so one family's tables are alive at a time
+        gstar = sobolev_conjugate(yf, s, n)
+        comp = embedding_composition(yf, s, n, gstar)
         for _ in range(ctx.draws):
             u = rng.lognormal(0.0, 1.0, 1000) * rng.choice([-1.0, 1.0], 1000)
             lhs = luxemburg_norm(comp, WeightedSamples(np.asarray(yf(np.abs(u))), w))
@@ -232,6 +235,7 @@ def _check_superposition_norm(ctx) -> CheckResult:
             rhs = max(nrm**yf.p_plus, nrm**yf.p_minus)
             worst = min(worst, (rhs - lhs) / rhs)
             count += 1
+        del gstar, comp
     if count == 0:
         return _skip("superposition_norm_bound", "s * p_plus < n fails for all families")
     return _result("superposition_norm_bound", worst >= -1e-6, worst, count)
@@ -428,8 +432,11 @@ def _ladder(ctx):
     """The eigen solves shared by the solver checks, run once per context.
 
     A failed ladder is cached as its error, so every check that needs it
-    fails with the same detail without solving again.  The traceback is
-    dropped before each raise, so no solver frame keeps its arrays alive.
+    fails with the same detail without solving again.  The cached error
+    keeps no traceback, so no solver frame keeps its arrays alive, and each
+    check raises a fresh copy of it: a raised error's traceback holds this
+    frame and with it the context, so raising the cached error itself would
+    tie the context into a reference cycle that outlives ``run_verify``.
     """
     if ctx._ladder is None:
         yf = ctx.families[ctx.primary]
@@ -441,9 +448,9 @@ def _ladder(ctx):
                 for n in ctx.ladder_sizes
             ]
         except ConvergenceError as exc:
-            ctx._ladder = exc
+            ctx._ladder = exc.with_traceback(None)
     if isinstance(ctx._ladder, ConvergenceError):
-        raise ctx._ladder.with_traceback(None)
+        raise copy.copy(ctx._ladder)
     return ctx._ladder
 
 
@@ -632,22 +639,6 @@ class _Context:
         self.ladder_sizes = ladder_sizes
         self.primary = primary
         self._ladder = None
-        self._gstars: dict[str, YoungFunction] = {}
-        self._hfuns: dict[str, YoungFunction] = {}
-
-    def gstar(self, name):
-        if name not in self._gstars:
-            s, n = self.embedding[name]
-            self._gstars[name] = sobolev_conjugate(self.families[name], s, n)
-        return self._gstars[name]
-
-    def hfun(self, name):
-        if name not in self._hfuns:
-            s, n = self.embedding[name]
-            self._hfuns[name] = embedding_composition(
-                self.families[name], s, n, self.gstar(name)
-            )
-        return self._hfuns[name]
 
 
 def run_verify(

@@ -539,7 +539,11 @@ class _LogLogTable:
     at the last knot), row n the power law above.  A row holds its origin
     and the coefficients of 1, s, s**2, s**3 in s = log x - origin; the
     power-law rows' zero higher coefficients add only signed zeros, so the
-    rows evaluate with one formula.
+    rows evaluate with one formula.  With the row edges that is 6 float64
+    words per knot: ``logx`` and ``logy`` are views of the first two
+    columns, and the derivative's coefficients 2*c2 and 3*c3 are formed
+    from the gathered rows with the float operations scipy's
+    ``derivative()`` uses.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -559,8 +563,6 @@ class _LogLogTable:
         h = np.diff(logx)
         if np.any(h <= 0):
             raise ValueError("`x` must be strictly increasing sequence.")
-        self.logx = logx
-        self.logy = logy
         m = np.diff(logy) / h
         d = _pchip_slopes(h, m)
         t = (d[:-1] + d[1:] - 2 * m) / h
@@ -568,18 +570,17 @@ class _LogLogTable:
         c2 = (m - d[:-1]) / h - t
         zero = np.zeros(1)
         # columns: origin, then the coefficients of 1, s, s**2, s**3; scipy
-        # starts its sums from 0.0, which turns a leading -0.0 into 0.0
+        # starts its sums from 0.0, which turns a leading -0.0 into 0.0 (the
+        # log of a positive value is never -0.0, so column 1 below row 0 is
+        # logy itself).  The slope column holds 0.0 + d, the derivative's
+        # constant term; the value's sum cannot tell it from d, because its
+        # own constant term is never -0.0
         self._coef = np.column_stack([
-            np.concatenate([logx[:1], logx[:-1], logx[-1:]]),
+            np.concatenate([logx[:1], logx]),
             np.concatenate([logy[:1], 0.0 + logy[:-1], logy[-1:]]),
-            np.concatenate([m[:1], d[:-1], m[-1:]]),
+            np.concatenate([m[:1], 0.0 + d[:-1], m[-1:]]),
             np.concatenate([zero, c2, zero]),
             np.concatenate([zero, c3, zero]),
-        ])
-        self._dcoef = np.column_stack([
-            np.concatenate([m[:1], 0.0 + d[:-1], m[-1:]]),
-            np.concatenate([zero, 2 * c2, zero]),
-            np.concatenate([zero, 3 * c3, zero]),
         ])
         # row r covers edges[r-1] <= log x < edges[r]; the last edge is
         # nudged up so that the last knot stays in the last cubic
@@ -589,6 +590,14 @@ class _LogLogTable:
         with np.errstate(invalid="ignore"):
             top = np.exp(logy[-1] + m[-1] * np.inf)
             self._at_inf = (top, top * m[-1] / np.inf)
+
+    @property
+    def logx(self) -> np.ndarray:
+        return self._coef[1:, 0]
+
+    @property
+    def logy(self) -> np.ndarray:
+        return self._coef[1:, 1]
 
     def _log_eval(self, lx: np.ndarray, want_slope: bool):
         """log y, and with ``want_slope`` d log y / d log x, at finite lx."""
@@ -601,10 +610,10 @@ class _LogLogTable:
         ly += c[:, 3] * s2
         ls = None
         if want_slope:
-            dc = self._dcoef.take(rows, axis=0)
-            ls = dc[:, 1] * s
-            ls += dc[:, 0]
-            ls += dc[:, 2] * s2
+            ls = 2 * c[:, 3]
+            ls *= s
+            ls += c[:, 2]
+            ls += 3 * c[:, 4] * s2
         s2 *= s
         s2 *= c[:, 4]
         ly += s2
@@ -639,15 +648,29 @@ class _LogLogTable:
 _KNOTS = np.logspace(-15.0, 15.0, 30 * 512 + 1)
 
 
+# integrand points per block of a panel integral: the integrand's
+# temporaries (a vector bisection's brackets, for the Sobolev conjugate)
+# then stay a few MiB, whatever the number of knots
+_PANEL_BLOCK = 1 << 15
+
+
 def _panel_integral(integrand: Callable[[np.ndarray], np.ndarray], head: float) -> np.ndarray:
     """head plus the cumulative 8-point Gauss panel sums of ``integrand``
     over the intervals between consecutive ``_KNOTS``: the integral from 0
-    to every knot, given the integral ``head`` from 0 to the first."""
+    to every knot, given the integral ``head`` from 0 to the first.
+
+    ``integrand`` must act elementwise: it sees the Gauss points in blocks
+    of about ``_PANEL_BLOCK``, and the panel sums are formed once, from
+    every value."""
     x, w = _gauss(8)
     lo = _KNOTS[:-1]
     hi = _KNOTS[1:]
-    mid = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * x[None, :]
-    vals = integrand(mid.ravel()).reshape(mid.shape)
+    vals = np.empty((len(lo), len(x)))
+    rows = _PANEL_BLOCK // len(x)
+    for k in range(0, len(lo), rows):
+        a, b = lo[k : k + rows], hi[k : k + rows]
+        mid = 0.5 * (b + a)[:, None] + 0.5 * (b - a)[:, None] * x[None, :]
+        vals[k : k + rows] = integrand(mid.ravel()).reshape(mid.shape)
     segs = 0.5 * (hi - lo) * (vals @ w)
     return head + np.concatenate(([0.0], np.cumsum(segs)))
 
@@ -1173,16 +1196,22 @@ def young_from_config(desc: dict) -> YoungFunction:
         raise YoungFunctionError(f"malformed growth-function record: {desc!r}")
     fam = desc["family"]
 
-    def param(key, kind, what):
+    def is_number(value):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+    def param(key, valid, what):
         value = desc.get(key)
-        if isinstance(value, bool) or not isinstance(value, kind):
+        if not valid(value):
             raise YoungFunctionError(
                 f"{fam!r} record needs {what} {key!r}, got {value!r}"
             )
         return value
 
     def number(key):
-        return param(key, (int, float), "a number")
+        return param(key, is_number, "a number")
+
+    def record(key):
+        return param(key, lambda v: isinstance(v, dict), "a record")
 
     if fam == "power":
         return make_power(number("p"))
@@ -1191,12 +1220,20 @@ def young_from_config(desc: dict) -> YoungFunction:
     if fam == "piecewise_power":
         return make_piecewise_power(number("p"), number("q"))
     if fam in ("sum", "max", "compose"):
-        parts = [young_from_config(d) for d in param("parts", list, "a list")]
-        return combine(fam, parts, desc.get("coefficients"))
+        parts = param("parts", lambda v: isinstance(v, list), "a list")
+        parts = [young_from_config(d) for d in parts]
+        coefficients = desc.get("coefficients")
+        if coefficients is not None:
+            param(
+                "coefficients",
+                lambda v: isinstance(v, list) and all(map(is_number, v)),
+                "a list of numbers",
+            )
+        return combine(fam, parts, coefficients)
     if fam == "normalized":
-        return normalize_young(young_from_config(param("base", dict, "a record")))
+        return normalize_young(young_from_config(record("base")))
     if fam == "scaled":
-        base = young_from_config(param("base", dict, "a record"))
+        base = young_from_config(record("base"))
         return scale_young(base, number("factor"))
     raise YoungFunctionError(f"unknown growth-function family {fam!r}")
 

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
-from fglap import embedding_composition, sobolev_conjugate
+from fglap import embedding_composition, inverse, make_power_log, sobolev_conjugate
 from fglap import young
-from fglap.young import _hat_table
+from fglap.young import _KNOTS, _gauss, _hat_table, _panel_integral
 
 
 class _ScipyTable:
@@ -171,3 +171,64 @@ def test_table_rejects_what_scipy_rejects(case, x, y):
             PchipInterpolator(np.log(x), np.log(y))
         with pytest.raises(ValueError):
             young._LogLogTable(x, y)
+
+
+def test_tables_hold_six_words_per_knot(families, embedding):
+    # five coefficient columns and the row edges; logx and logy are views
+    # of the first two columns, the derivative's coefficients are formed
+    # at evaluation
+    name = "summix"
+    s, n = embedding[name]
+
+    def build():
+        gstar = sobolev_conjugate(families[name], s, n)
+        embedding_composition(families[name], s, n, gstar)
+        _hat_table(make_power_log(3.0))  # a new function, so its table is built
+
+    built = _recorded_tables(build)
+    assert len(built) == 4
+    for table in built:
+        knots = len(table.logx)
+        words = sum(
+            a.nbytes for a in vars(table).values() if isinstance(a, np.ndarray)
+        ) // 8
+        assert words <= 6 * (knots + 1), (knots, words)
+        assert np.shares_memory(table.logx, table._coef)
+        assert np.shares_memory(table.logy, table._coef)
+
+
+def _one_shot_panel_integral(integrand, head):
+    """The panel integral with the integrand evaluated on every Gauss
+    point at once."""
+    x, w = _gauss(8)
+    lo = _KNOTS[:-1]
+    hi = _KNOTS[1:]
+    mid = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * x[None, :]
+    vals = integrand(mid.ravel()).reshape(mid.shape)
+    segs = 0.5 * (hi - lo) * (vals @ w)
+    return head + np.concatenate(([0.0], np.cumsum(segs)))
+
+
+def test_blocked_panel_integral_is_bitwise_one_shot(families, embedding):
+    summix = families["summix"]
+    s, n = embedding["summix"]
+    s_over_n = s / float(n)
+    integrands = {
+        "Ghat": lambda t: summix.evaluate(t) / t,
+        # the Sobolev conjugate's integrand: a vector bisection, since the
+        # sum has no closed-form inverse
+        "gstar": lambda tau: np.asarray(inverse(summix, tau)) * tau ** (-1.0 - s_over_n),
+    }
+    assert summix.inverse_fn is None
+    for label, integrand in integrands.items():
+        sizes = []
+
+        def counted(t):
+            sizes.append(t.size)
+            return integrand(t)
+
+        got = _panel_integral(counted, 0.125)
+        want = _one_shot_panel_integral(integrand, 0.125)
+        assert np.array_equal(_bits(got), _bits(want)), label
+        assert len(sizes) > 1 and max(sizes) <= young._PANEL_BLOCK
+        assert sum(sizes) == 8 * (len(_KNOTS) - 1)
