@@ -8,7 +8,8 @@ Commands (chosen by the ``command`` field of the JSON config):
   verify      run every registered invariant check
 
 Exit codes: 0 success, 2 malformed configuration (an unknown or wrong-typed
-key, a missing section, or a growth-function record missing a parameter),
+key, a non-finite number, a missing section, or a growth-function record
+missing a parameter),
 3 solver non-convergence, 4 failed verification checks.  For a fixed config,
 seed and BLAS thread count all artifacts are byte-identical run to run.
 """
@@ -35,6 +36,7 @@ from .solver import (
     sup_norm,
 )
 from .young import (
+    _finite_number,
     conjugate,
     embedding_composition,
     indicator_gauge,
@@ -49,10 +51,6 @@ class ConfigError(ValueError):
     """The run configuration has a bad key or violates a precondition."""
 
 
-def _number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _integer(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -62,7 +60,7 @@ def _record(v) -> bool:
 
 
 def _numbers(v) -> bool:
-    return isinstance(v, list) and all(_number(x) for x in v)
+    return isinstance(v, list) and all(_finite_number(x) for x in v)
 
 
 def _grid(v) -> bool:
@@ -96,17 +94,16 @@ _KEYS = {
         None,
     ),
     "young": (_RECORD, _record, None),
-    "s": ("a number", _number, 0.5),
+    "s": ("a finite number", _finite_number, 0.5),
     "n": ("the integer 1 or 2", lambda v: _integer(v) and 1 <= v <= 2, None),
     "grid": (
-        "an object with 'bounds' a list of numbers or of number lists and "
+        "an object with 'bounds' a list of finite numbers or of such lists and "
         "'cells' an integer or a list of integers",
         _grid,
         None,
     ),
-    "mu": ("a number", _number, 1.0),
-    "tol": ("a number", _number, 1e-6),
-    "stagnation_tol": ("a number or null", lambda v: v is None or _number(v), 5e-3),
+    "mu": ("a finite number", _finite_number, 1.0),
+    "tol": ("a finite number", _finite_number, 1e-6),
     "max_iter": ("an integer >= 1", lambda v: _integer(v) and v >= 1, 20000),
     "degiorgi_depth": ("an integer >= 1", lambda v: _integer(v) and v >= 1, 30),
     "semilinear": (_RECORD, _record, None),
@@ -167,24 +164,6 @@ def _solution_csv(u) -> str:
     return _csv(header, rows)
 
 
-def read_solution_csv(path, grid: Grid):
-    """Load nodal values exported by the solve commands back onto a grid.
-
-    The coordinate columns must match the grid's lattice nodes."""
-    from .grids import DiscreteFunction
-
-    rows = Path(path).read_text().strip().splitlines()[1:]
-    data = np.array([[float(v) for v in row.split(",")] for row in rows])
-    if data.shape != (grid.node_count, grid.dim + 1):
-        raise ConfigError(
-            f"expected {grid.node_count} rows of {grid.dim + 1} columns, "
-            f"got shape {data.shape}"
-        )
-    if not np.allclose(data[:, : grid.dim], grid.nodes, atol=1e-9 * grid.h):
-        raise ConfigError("coordinates in the file do not match the grid lattice")
-    return DiscreteFunction(grid, data[:, -1])
-
-
 def _run_young(cfg) -> dict[str, str]:
     yf = young_from_config(cfg["young"])
     s, n = cfg["s"], cfg["n"]
@@ -213,11 +192,7 @@ def _run_young(cfg) -> dict[str, str]:
 def _solve_once(cfg, grid):
     yf = young_from_config(cfg["young"])
     params = OperatorParams(s=cfg["s"])
-    opts = SolveOptions(
-        tol=cfg["tol"],
-        max_iter=cfg["max_iter"],
-        stagnation_tol=cfg["stagnation_tol"],
-    )
+    opts = SolveOptions(tol=cfg["tol"], max_iter=cfg["max_iter"])
     return yf, solve_eigen(grid, yf, params, cfg["mu"], opts)
 
 

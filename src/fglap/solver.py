@@ -89,18 +89,10 @@ class SubcriticalityError(ValueError):
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Iteration controls shared by the solvers.
-
-    ``stagnation_tol``: when descent is exhausted by floating-point
-    flatness before ``tol`` is met (kinked densities park quotients on
-    their jump atoms), accept the best iterate if its stationarity defect
-    is below this value instead of raising; the actual defect is always
-    reported in the result.
-    """
+    """Iteration controls shared by the solvers."""
 
     tol: float = 1e-6
     max_iter: int = 20000
-    stagnation_tol: Optional[float] = None
 
 
 # Armijo sufficient-decrease fraction, backtracking halvings per line search,
@@ -155,11 +147,7 @@ class DeGiorgiTrace:
 class RecursionFitReport:
     trivial: bool
     ok: bool
-    c_bar: Optional[float]
-    c_tilde: Optional[float]
-    delta: Optional[float]
     max_log_violation: float
-    n_points: int
 
 
 def domain_modular(u: DiscreteFunction, yf: YoungFunction) -> float:
@@ -410,7 +398,6 @@ def solve_eigen(
     params: OperatorParams,
     mu: float,
     opts: SolveOptions = SolveOptions(),
-    initial: Optional[DiscreteFunction] = None,
 ) -> EigenResult:
     """First eigenpair of the modular-constrained energy minimization.
 
@@ -419,12 +406,12 @@ def solve_eigen(
     iterate slides along active density-jump creases when plain descent is
     blocked.  Convergence is reached when the measured stationarity defect,
     as :class:`EigenResult` describes its ``residual``, drops below
-    opts.tol.
+    opts.tol; a stalled descent raises :class:`StagnationError`.
     """
     if not mu > 0:
         raise ValueError("modular level mu must be positive")
     hn = grid.node_weight
-    u = (initial.values.copy() if initial is not None else _bump(grid))
+    u = _bump(grid)
     u /= _modular_scale(u, hn, yf, mu)
 
     kern = get_kernel(grid, params)
@@ -461,9 +448,7 @@ def solve_eigen(
         grid, yf, params, u, objective, project, probe, opts,
         lambda v, p: _crease_direction(kern, v, p),
     )
-    if p.res <= opts.tol or (
-        stall is not None and opts.stagnation_tol is not None and p.res <= opts.stagnation_tol
-    ):
+    if p.res <= opts.tol:
         return EigenResult(
             DiscreteFunction(grid, u), p.lam, mu, it, p.res, np.asarray(history)
         )
@@ -534,8 +519,6 @@ def solve_semilinear(
     opts: SolveOptions = SolveOptions(),
     *,
     source: Optional[np.ndarray] = None,
-    gstar: Optional[YoungFunction] = None,
-    initial: Optional[DiscreteFunction] = None,
 ) -> DiscreteFunction:
     """Solve 2 * operator(u) = f(u) + source on the grid, f = F' the odd
     density of the growth function F.
@@ -555,11 +538,9 @@ def solve_semilinear(
     if F is None:
         if not np.any(src != 0.0):
             return DiscreteFunction(grid, np.zeros(grid.node_count))
-        start = initial.values if initial is not None else _bump(grid)
-        return DiscreteFunction(grid, _descent_fixed_rhs(grid, yf, params, src, start, opts))
+        return DiscreteFunction(grid, _descent_fixed_rhs(grid, yf, params, src, _bump(grid), opts))
 
-    if gstar is None:
-        gstar = sobolev_conjugate(yf, params.s, grid.dim)
+    gstar = sobolev_conjugate(yf, params.s, grid.dim)
     if not is_subcritical(F, gstar):
         raise SubcriticalityError(
             f"{F.label} does not decay against {gstar.label}; refusing to iterate"
@@ -573,7 +554,7 @@ def solve_semilinear(
         scale = float(np.max(np.abs(A2)) + np.max(np.abs(fv))) + 1e-300
         return res / scale, res
 
-    u = initial.values.copy() if initial is not None else _bump(grid)
+    u = _bump(grid)
     u /= _modular_scale(u, hn, yf, 1.0)
     best = np.inf
     bad_sweeps = 0
@@ -717,15 +698,13 @@ def check_recursive_bound(trace: DeGiorgiTrace) -> RecursionFitReport:
     a = trace.a
     ks = np.array([k for k in range(len(a) - 1) if a[k] > 0 and a[k + 1] > 0])
     if len(ks) == 0 or trace.c_bar is None:
-        return RecursionFitReport(True, True, trace.c_bar, trace.c_tilde, trace.delta, -np.inf, 0)
+        return RecursionFitReport(True, True, -np.inf)
     c1 = 1.05 * trace.c_bar
     c2 = 1.05 * trace.c_tilde
     lhs = np.log(a[ks + 1])
     rhs = np.log(c1) + (ks + 1.0) * np.log(c2) + (1.0 + trace.delta) * np.log(a[ks])
     worst = float(np.max(lhs - rhs))
-    return RecursionFitReport(
-        False, worst <= 1e-9, trace.c_bar, trace.c_tilde, trace.delta, worst, len(ks)
-    )
+    return RecursionFitReport(False, worst <= 1e-9, worst)
 
 
 # ---------------------------------------------------------------------------

@@ -441,7 +441,7 @@ def _ladder(ctx):
     if ctx._ladder is None:
         yf = ctx.families[ctx.primary]
         params = OperatorParams(s=ctx.s)
-        opts = SolveOptions(tol=2e-6, max_iter=8000, stagnation_tol=5e-3)
+        opts = SolveOptions(tol=2e-6, max_iter=8000)
         try:
             ctx._ladder = [
                 solve_eigen(Grid.build([0.0, 1.0], n), yf, params, ctx.mu, opts)

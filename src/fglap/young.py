@@ -1181,6 +1181,13 @@ def iterate_recursion(
 # ---------------------------------------------------------------------------
 
 
+def _finite_number(value) -> bool:
+    """A JSON number other than NaN and the infinities; a bool is not one."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def young_from_config(desc: dict) -> YoungFunction:
     """Build a Young function from a declarative record.
 
@@ -1189,15 +1196,13 @@ def young_from_config(desc: dict) -> YoungFunction:
     ``{"family": "sum", "parts": [...], "coefficients": [...]}``.  A record
     may be wrapped as ``{"family": "normalized", "base": {...}}`` or scaled
     with ``{"family": "scaled", "base": {...}, "factor": c}``.  A record
-    that lacks a parameter, or gives one of the wrong type, raises
-    :class:`YoungFunctionError` naming the family and the key.
+    that lacks a parameter, or gives one of the wrong type (NaN and the
+    infinities do not count as numbers), raises :class:`YoungFunctionError`
+    naming the family and the key.
     """
     if not isinstance(desc, dict) or "family" not in desc:
         raise YoungFunctionError(f"malformed growth-function record: {desc!r}")
     fam = desc["family"]
-
-    def is_number(value):
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
 
     def param(key, valid, what):
         value = desc.get(key)
@@ -1208,7 +1213,7 @@ def young_from_config(desc: dict) -> YoungFunction:
         return value
 
     def number(key):
-        return param(key, is_number, "a number")
+        return param(key, _finite_number, "a finite number")
 
     def record(key):
         return param(key, lambda v: isinstance(v, dict), "a record")
@@ -1226,8 +1231,8 @@ def young_from_config(desc: dict) -> YoungFunction:
         if coefficients is not None:
             param(
                 "coefficients",
-                lambda v: isinstance(v, list) and all(map(is_number, v)),
-                "a list of numbers",
+                lambda v: isinstance(v, list) and all(map(_finite_number, v)),
+                "a list of finite numbers",
             )
         return combine(fam, parts, coefficients)
     if fam == "normalized":

@@ -56,7 +56,7 @@ def eigen_ladder(families):
     """The 64/128/256-node eigenpairs for the piecewise family at s = 0.4."""
     yf = families["piecewise2_3"]
     params = OperatorParams(s=0.4)
-    opts = SolveOptions(tol=2e-6, max_iter=8000, stagnation_tol=2e-3)
+    opts = SolveOptions(tol=2e-6, max_iter=8000)
     return {
         n: solve_eigen(Grid.build([0.0, 1.0], n), yf, params, 0.4, opts)
         for n in (64, 128, 256)

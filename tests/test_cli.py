@@ -130,6 +130,60 @@ def test_grid_entries_exit_two(tmp_path, capsys, grid):
     assert "'grid'" in capsys.readouterr().err
 
 
+_SOLVE_CFG = {
+    "command": "solve",
+    "young": {"family": "power", "p": 2},
+    "grid": {"bounds": [0, 1], "cells": 8},
+}
+_INF, _NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        (dict(_SOLVE_CFG, tol=_INF), "tol"),
+        (dict(_SOLVE_CFG, tol=_NAN), "tol"),
+        (dict(_SOLVE_CFG, mu=_INF), "mu"),
+        (dict(_SOLVE_CFG, grid={"bounds": [0, _INF], "cells": 8}), "grid"),
+        (
+            dict(
+                _YOUNG_CFG,
+                young={"family": "scaled", "base": {"family": "power", "p": 2}, "factor": _INF},
+            ),
+            "factor",
+        ),
+        (
+            dict(
+                _YOUNG_CFG,
+                young={
+                    "family": "sum",
+                    "parts": [{"family": "power", "p": 2}],
+                    "coefficients": [_INF],
+                },
+            ),
+            "coefficients",
+        ),
+        (dict(_YOUNG_CFG, young={"family": "power", "p": _NAN}), "p"),
+    ],
+    ids=["tol-inf", "tol-nan", "mu-inf", "bounds-inf", "factor-inf", "coefficients-inf", "p-nan"],
+)
+def test_non_finite_numbers_exit_two(tmp_path, capsys, cfg, key):
+    # json writes and reads the literals Infinity and NaN
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stagnation_tol_is_unknown(tmp_path, capsys):
+    cfg = dict(_SOLVE_CFG, stagnation_tol=5e-3)
+    with pytest.raises(ConfigError, match="unknown config key 'stagnation_tol'"):
+        normalize_config(cfg)
+    code, _ = run_cli(tmp_path, cfg)
+    assert code == 2
+    assert "unknown config key 'stagnation_tol'" in capsys.readouterr().err
+
+
 def test_bad_smoothness_exit_code_and_message(tmp_path, capsys):
     cfg = {
         "command": "solve",
@@ -267,7 +321,6 @@ def test_semilinear_command(tmp_path):
 
 def test_solution_csv_round_trip(tmp_path):
     from fglap import Grid
-    from fglap.cli import read_solution_csv
 
     cfg = {
         "command": "solve",
@@ -278,11 +331,14 @@ def test_solution_csv_round_trip(tmp_path):
     }
     code, out = run_cli(tmp_path, cfg)
     assert code == 0
+    text = (out / "eigenfunction.csv").read_text()
+    assert text.splitlines()[0] == "x,value"
+    data = np.loadtxt(out / "eigenfunction.csv", delimiter=",", skiprows=1)
     grid = Grid.build([0.0, 1.0], 16)
-    u = read_solution_csv(out / "eigenfunction.csv", grid)
-    assert u.grid.node_count == 16
-    with pytest.raises(ConfigError):
-        read_solution_csv(out / "eigenfunction.csv", Grid.build([0.0, 1.0], 8))
+    assert data.shape == (16, 2)
+    # coordinates are written with repr, so they parse back to the lattice bits
+    assert np.array_equal(data[:, 0], grid.nodes[:, 0])
+    assert np.all(data[:, 1] > 0)
 
 
 def test_console_entry_point(tmp_path):

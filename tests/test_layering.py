@@ -3,11 +3,14 @@
 import ast
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import fglap
+from fglap.cli import _KEYS
+from fglap.solver import SolveOptions
 
 _PACKAGE = Path(fglap.__file__).parent
 
@@ -83,3 +86,36 @@ def test_runtime_imports_are_declared():
             if top:
                 undeclared.setdefault(module.name, set()).update(top)
     assert undeclared == {}
+
+
+def _reads(path: Path, owner: str) -> set:
+    """What a module reads of the variable ``owner``: keys as owner["k"] or
+    owner.get("k", ...), and attributes as owner.attr."""
+
+    def is_owner(node):
+        return isinstance(node, ast.Name) and node.id == owner
+
+    def key(node):
+        return node.value if isinstance(node, ast.Constant) else None
+
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and is_owner(node.value):
+            read.add(node.attr)
+        elif isinstance(node, ast.Subscript) and is_owner(node.value):
+            read.add(key(node.slice))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get"
+            and is_owner(node.func.value)
+        ):
+            read.add(key(node.args[0]))
+    return read
+
+
+def test_every_config_key_and_solve_option_is_read():
+    # a key or option that nothing reads is a knob that does nothing
+    assert set(_KEYS) - _reads(_PACKAGE / "cli.py", "cfg") == set()
+    options = {f.name for f in fields(SolveOptions)}
+    assert options - _reads(_PACKAGE / "solver.py", "opts") == set()
