@@ -30,12 +30,16 @@ whose last bit can depend on the thread count.
 Every pass over node pairs and exterior rays lives here and runs over node
 rows in blocks of about ``_BLOCK`` elements: the kernel build, the operator
 and its stationarity bands, the energy and its Newton Hessian, the pair
-samples, tests, crease normals and the Hoelder seminorm.  Only the kernel's
-own arrays are N x N or pair-length: the dense quotient scales and operator
-weights and the energy weights of the pairs i < j, 20 bytes per node pair.
-The blocking moves no bit: every element sees the same operations in the
-same order, each row sum is taken over its whole contiguous row, and a
-reduction over the pairs i < j fills one pair-length vector block by block.
+samples, tests, crease normals and the Hoelder seminorm.  The kernel keeps
+the quotient scales and operator weights once per lattice index offset and
+lays them out as dense row blocks on demand; only the energy weights of the
+pairs i < j are pair-length, 4 bytes per node pair.  Where the node
+coordinates are exact in binary (power-of-two cell counts on [0, 1]) every
+per-offset entry is bitwise the one of each pair's own distance; elsewhere
+it moves by the rounding of the node differences, relative to h.  The
+blocking moves no bit: every element sees the same operations in the same
+order, each row sum is taken over its whole row, and a reduction over the
+pairs i < j fills one pair-length vector block by block.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .grids import DiscreteFunction, Grid
 from .young import (
@@ -96,37 +101,37 @@ _THETA_ORDER = 16
 class _Kernel:
     """Precomputed pairwise and exterior geometry for one (grid, params).
 
-    Holds the dense N x N quotient scales ``qs`` = |x_i - x_j|**(-s) and
-    operator weights ``wop`` (both zero on the diagonal) and the energy
-    weights ``pair_wen`` of the pairs i < j in row-major order: 20 bytes per
-    node pair, filled one row block at a time.
+    On the uniform lattice a pair's distance depends only on the index
+    offset between its nodes, so the kernel keeps the distances ``dist``
+    from node 0 to every node and two tables over the signed offsets, shape
+    (2 M_k - 1) per axis: the quotient scales ``qs_offsets`` = d**(-s) and
+    the operator weights ``wop_offsets`` = h**n d**(-n-s), zero at offset 0.
+    ``qs_rows`` and ``wop_rows`` lay them out as dense row blocks, built per
+    call and never stored.  The energy weights ``pair_wen`` of the pairs
+    i < j in row-major order stay one pair-length vector, gathered by offset
+    from the distance table.  On lattices whose node coordinates are exact
+    in binary every entry is bitwise the one of the pair's own distance.
     """
 
     def __init__(self, grid: Grid, params: OperatorParams):
         self.grid = grid
         self.params = params
         s, n, h = params.s, grid.dim, grid.h
-        pts = grid.nodes
         N = grid.node_count
         self._tri = _upper_mask(_row_step(N), N)
-        self.qs = np.empty((N, N))
-        self.wop = np.empty((N, N))
+        self.dist = _distances(grid.nodes, slice(0, 1))[0]
+        self.qs_offsets = self._reflect(self.dist[1:] ** (-s))
+        self.wop_offsets = self._reflect(h**n * self.dist[1:] ** (-(n + s)))
+        wen = self._reflect(2.0 * h ** (2 * n) * self.dist[1:] ** (-n))
         self.pair_wen = np.empty(N * (N - 1) // 2)
         at = 0
-        for rows in _row_blocks(N):
-            D = _distances(pts, rows)
-            upper = D[:, rows.start :][self._upper(rows)]
-            self.pair_wen[at : at + len(upper)] = 2.0 * h ** (2 * n) * upper ** (-n)
+        for rows in _row_blocks(N, upper=True):
+            upper = self._offset_rows(wen, rows)[:, rows.start :][self._upper(rows)]
+            self.pair_wen[at : at + len(upper)] = upper
             at += len(upper)
-            own = np.arange(rows.stop - rows.start)
-            D[own, rows.start + own] = 1.0  # placeholder, masked below
-            self.qs[rows] = D**(-s)
-            self.qs[rows][own, rows.start + own] = 0.0
-            self.wop[rows] = h**n * D ** (-(n + s))
-            self.wop[rows][own, rows.start + own] = 0.0
         if n == 1:
             a, b = grid.bounds[0]
-            x = pts[:, 0]
+            x = grid.nodes[:, 0]
             # exterior ray exit distances and unit angular weights per ray
             self.ray_dist = np.column_stack([x - a, b - x])
             self.ray_w = np.ones_like(self.ray_dist)
@@ -134,10 +139,53 @@ class _Kernel:
             self.ray_dist, self.ray_w = _angular_rays(grid)
         self.ray_scale = self.ray_dist ** (-s)
 
+    def _reflect(self, values: np.ndarray) -> np.ndarray:
+        """Offset table of values[k - 1] at the offset from node 0 to node
+        k >= 1 and zero at offset 0.  Entry m along axis k holds the offset
+        m - (M_k - 1), which takes the value of its absolute offset."""
+        cells = self.grid.cells
+        per_node = np.zeros(cells)
+        per_node.flat[1:] = values
+        return per_node[np.ix_(*(np.abs(np.arange(1 - m, m)) for m in cells))]
+
+    def _offset_rows(self, table: np.ndarray, rows: slice) -> np.ndarray:
+        """Rows i in rows of the dense N x N array whose entry (i, j) is the
+        offset table's entry at the offset from node i to node j: a strided
+        view in 1d, one strided copy per lattice row of nodes in 2d."""
+        cells = self.grid.cells
+        N = self.grid.node_count
+        # view[i..., j...] is the entry at offset j - i, axis by axis
+        center = table[tuple(slice(m - 1, None) for m in cells)]
+        strides = tuple(-st for st in table.strides) + table.strides
+        view = as_strided(center, cells + cells, strides, writeable=False)
+        start, stop, _ = rows.indices(N)
+        if len(cells) == 1:
+            return view[start:stop]
+        M2 = cells[1]
+        out = np.empty((stop - start, N))
+        grid_out = out.reshape(stop - start, *cells)
+        i = start
+        while i < stop:
+            a, b = divmod(i, M2)
+            end = min(stop, (a + 1) * M2)
+            grid_out[i - start : end - start] = view[a, b : b + end - i]
+            i = end
+        return out
+
+    def qs_rows(self, rows: slice) -> np.ndarray:
+        """Quotient scales |x_i - x_j|**(-s) of the nodes i in rows against
+        every node j, zero on the diagonal, as an (r, N) array."""
+        return self._offset_rows(self.qs_offsets, rows)
+
+    def wop_rows(self, rows: slice) -> np.ndarray:
+        """Operator weights h**n |x_i - x_j|**(-n-s) of the nodes i in rows
+        against every node j, zero on the diagonal, as an (r, N) array."""
+        return self._offset_rows(self.wop_offsets, rows)
+
     def quotients(self, v: np.ndarray, rows: slice) -> np.ndarray:
         """Pair quotients (v_i - v_j) |x_i - x_j|**(-s) for the nodes i in
         rows against every node j, zero on the diagonal."""
-        return (v[rows, None] - v[None, :]) * self.qs[rows]
+        return (v[rows, None] - v[None, :]) * self.qs_rows(rows)
 
     def _upper(self, rows: slice) -> np.ndarray:
         """Mask of the pairs i < j in the rectangle rows x [rows.start, N)."""
@@ -148,7 +196,7 @@ class _Kernel:
         i < j with i in rows, in row-major order.  Chained over the blocks
         they run through the pairs in the order of ``pair_wen``."""
         for rows in _row_blocks(len(v), upper=True):
-            q = (v[rows, None] - v[None, rows.start :]) * self.qs[rows, rows.start :]
+            q = (v[rows, None] - v[None, rows.start :]) * self.qs_rows(rows)[:, rows.start :]
             yield rows, q[self._upper(rows)]
 
     def pair_values(self, fn: Callable[..., np.ndarray], *vs: np.ndarray) -> np.ndarray:
@@ -175,7 +223,7 @@ class _Kernel:
                 a, c = np.nonzero(self._upper(rows))
                 for i, j, m in zip(rows.start + a[hits], rows.start + c[hits], hits):
                     nvec = np.zeros_like(v)
-                    scale = self.qs[i, j] * np.sign(q[m])
+                    scale = self.qs_rows(slice(i, i + 1))[0, j] * np.sign(q[m])
                     nvec[i], nvec[j] = scale, -scale
                     normals.append(nvec)
             if len(normals) == limit:
@@ -346,7 +394,7 @@ def _operator_pass(
     for rows in _row_blocks(N):
         q = kern.quotients(v, rows)
         gq = yf.g(q)
-        w = kern.wop[rows]
+        w = kern.wop_rows(rows)
         if bands:
             lo, hi = _slope_bands(yf, q, gq)
             lo *= w
@@ -437,8 +485,8 @@ def _energy_hessian(
     N = len(u)
     H = out[:N, :N]
     for rows in _row_blocks(N):
-        qs = kern.qs[rows]
-        wfull = hn * kern.wop[rows] / np.where(qs > 0, qs, 1.0)
+        qs = kern.qs_rows(rows)
+        wfull = hn * kern.wop_rows(rows) / np.where(qs > 0, qs, 1.0)
         aq = np.abs(kern.quotients(u, rows))
         dq = 1e-7 * (1.0 + aq)
         gp = (yf.g(aq + dq) - yf.g(np.maximum(aq - dq, 0.0))) / (2.0 * dq)

@@ -89,3 +89,14 @@ def fresh_process_env():
            if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
     env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     return env
+
+
+def dense_kernel(kern):
+    """The kernel's quotient scales and operator weights as N x N arrays,
+    entry (i, j) read from its per-offset table at the lattice offset from
+    node i to node j, independently of the kernel's row-block accessors."""
+    cells = kern.grid.cells
+    idx = np.indices(cells).reshape(len(cells), -1)
+    center = (np.array(cells) - 1)[:, None, None]
+    offsets = tuple(idx[:, None, :] - idx[:, :, None] + center)
+    return kern.qs_offsets[offsets], kern.wop_offsets[offsets]

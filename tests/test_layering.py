@@ -9,27 +9,40 @@ from pathlib import Path
 import pytest
 
 import fglap
+from fglap import Grid, OperatorParams
 from fglap.cli import _KEYS
+from fglap.operator import _Kernel
 from fglap.solver import SolveOptions
 
 _PACKAGE = Path(fglap.__file__).parent
 
-# the lattice layer: kernel arrays, the row-block rule, the upper-pair order
-# and the distances between nodes
+# the lattice layer: the kernel's tables and their row-block accessors, the
+# row-block rule, the upper-pair order and the distances between nodes
 _LATTICE = {
-    "qs",
-    "wop",
+    "dist",
+    "qs_offsets",
+    "wop_offsets",
     "pair_wen",
     "ray_dist",
     "ray_scale",
     "ray_w",
     "_tri",
+    "_reflect",
+    "_offset_rows",
+    "qs_rows",
+    "wop_rows",
+    "quotients",
+    "_upper",
+    "upper_quotients",
+    "pair_values",
     "_row_blocks",
     "_row_step",
     "_upper_mask",
     "_distances",
-    "upper_quotients",
 }
+# what other modules may read of a kernel: its grid and parameters, and the
+# crease normals the solver slides along
+_KERNEL_SURFACE = {"grid", "params", "parked_normals"}
 # the growth-function layer: the log-log tables and the replayed root finds
 _TABLES = {"_KNOTS", "_panel_integral", "_LogLogTable", "_replay_bisection"}
 
@@ -59,6 +72,14 @@ def test_internals_stay_in_their_module(owner, private):
         if m.name != owner
     }
     assert {name: found for name, found in leaks.items() if found} == {}
+
+
+def test_lattice_names_cover_the_kernel():
+    # every array a kernel stores and every method it has is a lattice name
+    # or on its surface, so the check above follows the kernel as it grows
+    kern = _Kernel(Grid.build([[0.0, 1.0], [0.0, 1.0]], (4, 4)), OperatorParams(s=0.5))
+    members = set(vars(kern)) | {n for n in vars(_Kernel) if not n.startswith("__")}
+    assert members - _KERNEL_SURFACE - _LATTICE == set()
 
 
 def _declared_dependencies() -> set:

@@ -39,7 +39,7 @@ from fglap.operator import (
     get_kernel,
 )
 from fglap.young import _HATS, _hat_table
-from conftest import fresh_process_env, kink_safe
+from conftest import dense_kernel, fresh_process_env, kink_safe
 from test_young import _reference_luxemburg_scale
 
 
@@ -313,10 +313,11 @@ def test_directional_derivative_two_paths(families):
 
     yf = families["power3.5"]
     kern = get_kernel(grid, params)
-    quot_u = (u[:, None] - u[None, :]) * kern.qs
-    quot_v = (v[:, None] - v[None, :]) * kern.qs
+    qs, wop = dense_kernel(kern)
+    quot_u = (u[:, None] - u[None, :]) * qs
+    quot_v = (v[:, None] - v[None, :]) * qs
     with np.errstate(divide="ignore"):
-        wfull = grid.node_weight * kern.wop / np.where(kern.qs > 0, kern.qs, 1.0)
+        wfull = grid.node_weight * wop / np.where(qs > 0, qs, 1.0)
     np.fill_diagonal(wfull, 0.0)
     pairing = float(np.sum(yf.slope_odd(quot_u) * quot_v * wfull))
     hat = _hat_table(yf)
@@ -476,7 +477,7 @@ def test_pair_samples_weights():
 def _reference_energy_scaled(u, yf, kern, lam):
     """The energy formed in one shot over the whole pair vector."""
     i0, i1 = np.triu_indices(len(u), k=1)
-    q = np.abs(u[i0] - u[i1]) * kern.qs[i0, i1]
+    q = np.abs(u[i0] - u[i1]) * dense_kernel(kern)[0][i0, i1]
     total = float(np.dot(kern.pair_wen, yf.evaluate(q / lam)))
     nz = u != 0.0
     if np.any(nz):
@@ -591,17 +592,35 @@ def _reference_kernel_arrays(grid, params):
 # several row blocks each, the last one ragged
 _MULTI_BLOCK_GRIDS = [([0.0, 1.0], 600), ([[0.0, 1.0], [0.0, 1.0]], (24, 24))]
 
+# node coordinates exact in binary, so every node difference is exact
+_EXACT_GRIDS = [
+    ([0.0, 1.0], 512),
+    ([-1.0, 1.0], 64),
+    ([[0.0, 1.0], [0.0, 1.0]], (32, 32)),
+    ([[0.0, 1.0], [0.0, 0.5]], (32, 16)),
+]
 
-@pytest.mark.parametrize("bounds, cells", _MULTI_BLOCK_GRIDS)
-def test_streamed_kernel_is_bitwise_the_one_shot_build(bounds, cells):
-    grid = Grid.build(bounds, cells)
-    params = OperatorParams(s=0.4)
-    blocks = _row_blocks(grid.node_count)
-    assert len(blocks) > 2
-    assert blocks[-1].stop - blocks[-1].start < blocks[0].stop - blocks[0].start
-    kern = _Kernel(grid, params)
-    for got, ref in zip((kern.qs, kern.wop, kern.pair_wen), _reference_kernel_arrays(grid, params)):
-        assert got.tobytes() == ref.tobytes()
+
+def _accessor_blocks(grid):
+    """The pair passes' row blocks, and blocks of a step that splits lattice
+    rows in 2d and leaves a ragged last block."""
+    N = grid.node_count
+    step = 23
+    assert N % step and grid.cells[-1] % step
+    return _row_blocks(N) + [slice(a, min(a + step, N)) for a in range(0, N, step)]
+
+
+def _assert_kernel_arrays(kern, qs, wop, pair_wen):
+    for rows in _accessor_blocks(kern.grid):
+        got = kern.qs_rows(rows)
+        assert got.shape == (rows.stop - rows.start, kern.grid.node_count)
+        assert np.ascontiguousarray(got).tobytes() == qs[rows].tobytes()
+        assert np.ascontiguousarray(kern.wop_rows(rows)).tobytes() == wop[rows].tobytes()
+    assert kern.pair_wen.tobytes() == pair_wen.tobytes()
+
+
+def _assert_kernel_rays(kern):
+    grid = kern.grid
     if grid.dim == 1:
         (a, b), x = grid.bounds[0], grid.nodes[:, 0]
         ray_dist = np.column_stack([x - a, b - x])
@@ -610,7 +629,58 @@ def test_streamed_kernel_is_bitwise_the_one_shot_build(bounds, cells):
         ray_dist, ray_w = _reference_angular_rays(grid)
     assert kern.ray_dist.tobytes() == ray_dist.tobytes()
     assert kern.ray_w.tobytes() == ray_w.tobytes()
-    assert kern.ray_scale.tobytes() == (ray_dist ** (-params.s)).tobytes()
+    assert kern.ray_scale.tobytes() == (ray_dist ** (-kern.params.s)).tobytes()
+
+
+@pytest.mark.parametrize("bounds, cells", _EXACT_GRIDS)
+def test_kernel_accessors_are_bitwise_the_one_shot_build(bounds, cells):
+    # every node difference is exact, so the distance at an index offset is
+    # the distance of every pair at that offset, to the last bit
+    grid = Grid.build(bounds, cells)
+    params = OperatorParams(s=0.4)
+    kern = _Kernel(grid, params)
+    _assert_kernel_arrays(kern, *_reference_kernel_arrays(grid, params))
+    _assert_kernel_rays(kern)
+
+
+def _reference_offset_arrays(grid, params):
+    """qs, wop and pair_wen from the distance of each pair's index offset,
+    measured from node 0 and looked up for every node pair."""
+    s, n, h = params.s, grid.dim, grid.h
+    pts = grid.nodes
+    N = grid.node_count
+    dist0 = np.sqrt(np.sum((pts[:1] - pts) ** 2, axis=1))
+    lattice = np.indices(grid.cells).reshape(grid.dim, -1)
+    offsets = np.abs(lattice[:, None, :] - lattice[:, :, None])
+    D = dist0[np.ravel_multi_index(tuple(offsets), grid.cells)]
+    np.fill_diagonal(D, 1.0)
+    qs = D**(-s)
+    np.fill_diagonal(qs, 0.0)
+    wop = h**n * D ** (-(n + s))
+    np.fill_diagonal(wop, 0.0)
+    iu = np.triu_indices(N, k=1)
+    pair_wen = 2.0 * h ** (2 * n) * D[iu] ** (-n)
+    return qs, wop, pair_wen
+
+
+@pytest.mark.parametrize("bounds, cells", _MULTI_BLOCK_GRIDS)
+def test_kernel_accessors_are_bitwise_the_per_offset_rule(bounds, cells):
+    # node differences round on these grids: each pair takes the distance
+    # of its index offset from node 0, within rounding of its own distance
+    grid = Grid.build(bounds, cells)
+    params = OperatorParams(s=0.4)
+    blocks = _row_blocks(grid.node_count)
+    assert len(blocks) > 2
+    assert blocks[-1].stop - blocks[-1].start < blocks[0].stop - blocks[0].start
+    kern = _Kernel(grid, params)
+    pts = grid.nodes
+    assert kern.dist.tobytes() == np.sqrt(np.sum((pts[:1] - pts) ** 2, axis=1)).tobytes()
+    ref = _reference_offset_arrays(grid, params)
+    _assert_kernel_arrays(kern, *ref)
+    _assert_kernel_rays(kern)
+    for got, pair in zip(ref, _reference_kernel_arrays(grid, params)):
+        assert got.tobytes() != pair.tobytes()
+        np.testing.assert_allclose(got, pair, rtol=1e-13, atol=0.0)
 
 
 def _reference_angular_rays(grid):
@@ -674,10 +744,15 @@ def test_pair_samples_are_bitwise_the_triu_form(bounds, cells):
     kern = get_kernel(grid, params)
     v = np.random.default_rng(13).standard_normal(grid.node_count)
     i0, i1 = np.triu_indices(grid.node_count, k=1)
-    ref = np.abs(v[i0] - v[i1]) * kern.qs[i0, i1]
+    ref = np.abs(v[i0] - v[i1]) * dense_kernel(kern)[0][i0, i1]
     samples = pair_samples(DiscreteFunction(grid, v), params)
     assert samples.values.tobytes() == ref.tobytes()
     assert samples.weights is kern.pair_wen
+
+
+def _kernel_bytes(kern):
+    """Bytes of the arrays a kernel holds, counted over its attributes."""
+    return sum(a.nbytes for a in vars(kern).values() if isinstance(a, np.ndarray))
 
 
 def test_kernel_build_streams_in_row_blocks():
@@ -689,13 +764,26 @@ def test_kernel_build_streams_in_row_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    resident = sum(a.nbytes for a in vars(kern).values() if isinstance(a, np.ndarray))
-    # 20 bytes per node pair: qs, wop and the energy weights of the pairs i < j
     N = grid.node_count
-    assert kern.qs.nbytes + kern.wop.nbytes + kern.pair_wen.nbytes == 8 * (
-        2 * N * N + N * (N - 1) // 2
-    )
+    assert kern.pair_wen.nbytes == 8 * (N * (N - 1) // 2)
+    assert kern.qs_offsets.shape == kern.wop_offsets.shape == (2 * N - 1,)
+    # besides the energy weights, the offset tables, the exterior rays and
+    # the upper-pair mask of one row block
+    resident = _kernel_bytes(kern)
+    assert resident <= kern.pair_wen.nbytes + 1024 * 1024
     assert peak < resident + 4 * 1024 * 1024
+
+
+def test_kernel_holds_no_dense_pair_array():
+    grid = Grid.build([[0.0, 1.0], [0.0, 1.0]], (32, 32))
+    kern = _Kernel(grid, OperatorParams(s=0.5))
+    N = grid.node_count
+    assert kern.qs_offsets.shape == kern.wop_offsets.shape == (63, 63)
+    assert all(
+        a.size < N * N for a in vars(kern).values() if isinstance(a, np.ndarray)
+    )
+    # the dense quotient scales and operator weights alone took 16 MiB
+    assert _kernel_bytes(kern) <= 6 * 1024 * 1024
 
 
 def test_kernel_cache_keeps_the_most_recently_used():
