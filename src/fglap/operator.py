@@ -31,22 +31,24 @@ Every pass over node pairs and exterior rays lives here and runs over node
 rows in blocks of about ``_BLOCK`` elements: the kernel build, the operator
 and its stationarity bands, the energy and its Newton Hessian, the pair
 samples, tests, crease normals and the Hoelder seminorm.  The kernel keeps
-the quotient scales and operator weights once per lattice index offset and
-lays them out as dense row blocks on demand; only the energy weights of the
-pairs i < j are pair-length, 4 bytes per node pair.  Where the node
-coordinates are exact in binary (power-of-two cell counts on [0, 1]) every
-per-offset entry is bitwise the one of each pair's own distance; elsewhere
-it moves by the rounding of the node differences, relative to h.  The
-blocking moves no bit: every element sees the same operations in the same
-order, each row sum is taken over its whole row, and a reduction over the
-pairs i < j fills one pair-length vector block by block.
+the quotient scales, operator weights and energy weights once per lattice
+index offset and lays them out as row blocks on demand, so it holds O(N)
+numbers.  Where the node coordinates are exact in binary (power-of-two cell
+counts on [0, 1]) every per-offset entry is bitwise the one of each pair's
+own distance; elsewhere it moves by the rounding of the node differences,
+relative to h.  The row blocking moves no bit: every element sees the same
+operations in the same order and each row sum is taken over its whole row.
+The energy reduces the pairs i < j in chunks of ``_BLOCK`` pairs, one dot
+product each, which moves its last bits once there are more pairs than
+one chunk; the pair samples and the pair test margin, whose minimum's
+sign at a zero margin depends on the layout, fill one pair-length vector.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -103,14 +105,16 @@ class _Kernel:
 
     On the uniform lattice a pair's distance depends only on the index
     offset between its nodes, so the kernel keeps the distances ``dist``
-    from node 0 to every node and two tables over the signed offsets, shape
-    (2 M_k - 1) per axis: the quotient scales ``qs_offsets`` = d**(-s) and
-    the operator weights ``wop_offsets`` = h**n d**(-n-s), zero at offset 0.
-    ``qs_rows`` and ``wop_rows`` lay them out as dense row blocks, built per
-    call and never stored.  The energy weights ``pair_wen`` of the pairs
-    i < j in row-major order stay one pair-length vector, gathered by offset
-    from the distance table.  On lattices whose node coordinates are exact
-    in binary every entry is bitwise the one of the pair's own distance.
+    from node 0 to every node and three tables over the signed offsets,
+    shape (2 M_k - 1) per axis, zero at offset 0: the quotient scales
+    ``qs_offsets`` = d**(-s), the operator weights ``wop_offsets`` =
+    h**n d**(-n-s) and the energy weights ``wen_offsets`` = 2 h**(2n) d**(-n).
+    ``qs_rows`` and ``wop_rows`` lay the first two out as dense row blocks,
+    ``upper_quotients`` and ``upper_weights`` give the pairs i < j of a row
+    block; all are built per call and never stored.  The exterior keeps the
+    ray scales d**(-s) and angular weights per node and ray.  On lattices
+    whose node coordinates are exact in binary every entry is bitwise the
+    one of the pair's own distance.
     """
 
     def __init__(self, grid: Grid, params: OperatorParams):
@@ -122,22 +126,16 @@ class _Kernel:
         self.dist = _distances(grid.nodes, slice(0, 1))[0]
         self.qs_offsets = self._reflect(self.dist[1:] ** (-s))
         self.wop_offsets = self._reflect(h**n * self.dist[1:] ** (-(n + s)))
-        wen = self._reflect(2.0 * h ** (2 * n) * self.dist[1:] ** (-n))
-        self.pair_wen = np.empty(N * (N - 1) // 2)
-        at = 0
-        for rows in _row_blocks(N, upper=True):
-            upper = self._offset_rows(wen, rows)[:, rows.start :][self._upper(rows)]
-            self.pair_wen[at : at + len(upper)] = upper
-            at += len(upper)
+        self.wen_offsets = self._reflect(2.0 * h ** (2 * n) * self.dist[1:] ** (-n))
         if n == 1:
             a, b = grid.bounds[0]
             x = grid.nodes[:, 0]
             # exterior ray exit distances and unit angular weights per ray
-            self.ray_dist = np.column_stack([x - a, b - x])
-            self.ray_w = np.ones_like(self.ray_dist)
+            ray_dist = np.column_stack([x - a, b - x])
+            self.ray_w = np.ones_like(ray_dist)
         else:
-            self.ray_dist, self.ray_w = _angular_rays(grid)
-        self.ray_scale = self.ray_dist ** (-s)
+            ray_dist, self.ray_w = _angular_rays(grid)
+        self.ray_scale = ray_dist ** (-s)
 
     def _reflect(self, values: np.ndarray) -> np.ndarray:
         """Offset table of values[k - 1] at the offset from node 0 to node
@@ -148,10 +146,12 @@ class _Kernel:
         per_node.flat[1:] = values
         return per_node[np.ix_(*(np.abs(np.arange(1 - m, m)) for m in cells))]
 
-    def _offset_rows(self, table: np.ndarray, rows: slice) -> np.ndarray:
-        """Rows i in rows of the dense N x N array whose entry (i, j) is the
-        offset table's entry at the offset from node i to node j: a strided
-        view in 1d, one strided copy per lattice row of nodes in 2d."""
+    def _offset_rows(self, table: np.ndarray, rows: slice, first: int = 0) -> np.ndarray:
+        """Rows i in rows, columns j >= first, of the dense N x N array whose
+        entry (i, j) is the offset table's entry at the offset from node i
+        to node j: a strided view in 1d; in 2d one strided copy per lattice
+        row of nodes, of the lattice rows of columns from the one holding
+        node ``first`` on, returned as a view from column ``first``."""
         cells = self.grid.cells
         N = self.grid.node_count
         # view[i..., j...] is the entry at offset j - i, axis by axis
@@ -160,17 +160,18 @@ class _Kernel:
         view = as_strided(center, cells + cells, strides, writeable=False)
         start, stop, _ = rows.indices(N)
         if len(cells) == 1:
-            return view[start:stop]
+            return view[start:stop, first:]
         M2 = cells[1]
-        out = np.empty((stop - start, N))
-        grid_out = out.reshape(stop - start, *cells)
+        lead, skip = divmod(first, M2)
+        out = np.empty((stop - start, N - lead * M2))
+        grid_out = out.reshape(stop - start, cells[0] - lead, M2)
         i = start
         while i < stop:
             a, b = divmod(i, M2)
             end = min(stop, (a + 1) * M2)
-            grid_out[i - start : end - start] = view[a, b : b + end - i]
+            grid_out[i - start : end - start] = view[a, b : b + end - i, lead:]
             i = end
-        return out
+        return out[:, skip:]
 
     def qs_rows(self, rows: slice) -> np.ndarray:
         """Quotient scales |x_i - x_j|**(-s) of the nodes i in rows against
@@ -194,22 +195,43 @@ class _Kernel:
     def upper_quotients(self, v: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
         """Yield (rows, q) per row block: q holds the quotients of the pairs
         i < j with i in rows, in row-major order.  Chained over the blocks
-        they run through the pairs in the order of ``pair_wen``."""
+        they run through all pairs i < j in row-major order: the pair
+        order."""
         for rows in _row_blocks(len(v), upper=True):
-            q = (v[rows, None] - v[None, rows.start :]) * self.qs_rows(rows)[:, rows.start :]
-            yield rows, q[self._upper(rows)]
+            q = v[rows, None] - v[None, rows.start :]
+            q *= self._offset_rows(self.qs_offsets, rows, rows.start)
+            # the block is freed before the caller works on its pairs
+            q = q[self._upper(rows)]
+            yield rows, q
 
-    def pair_values(self, fn: Callable[..., np.ndarray], *vs: np.ndarray) -> np.ndarray:
-        """One pair-length vector in the order of ``pair_wen``: fn of the
-        block quotients of the pairs i < j of every function in vs, filled
-        block by block."""
-        out = np.empty(len(self.pair_wen))
+    def upper_weights(self, rows: slice) -> np.ndarray:
+        """Energy weights 2 h**(2n) |x_i - x_j|**(-n) of the pairs i < j with
+        i in rows, in the order of the quotients ``upper_quotients`` yields
+        for the same rows."""
+        return self._offset_rows(self.wen_offsets, rows, rows.start)[self._upper(rows)]
+
+    def _pair_vector(self, blocks: Iterable[np.ndarray]) -> np.ndarray:
+        """One pair-length vector in pair order, filled block by block."""
+        N = self.grid.node_count
+        out = np.empty(N * (N - 1) // 2)
         at = 0
-        for blocks in zip(*(self.upper_quotients(v) for v in vs)):
-            vals = fn(*(q for _, q in blocks))
+        for vals in blocks:
             out[at : at + len(vals)] = vals
             at += len(vals)
         return out
+
+    def pair_values(self, fn: Callable[..., np.ndarray], *vs: np.ndarray) -> np.ndarray:
+        """One pair-length vector in pair order: fn of the block quotients
+        of the pairs i < j of every function in vs."""
+        return self._pair_vector(
+            fn(*(q for _, q in blocks))
+            for blocks in zip(*(self.upper_quotients(v) for v in vs))
+        )
+
+    def pair_weights(self) -> np.ndarray:
+        """The energy weights of all pairs i < j as one vector in pair order."""
+        N = self.grid.node_count
+        return self._pair_vector(self.upper_weights(rows) for rows in _row_blocks(N, upper=True))
 
     def parked_normals(self, v: np.ndarray, limit: int) -> list[np.ndarray]:
         """Normals of the pair quotients of v parked at |q| = 1 (to 1e-8),
@@ -423,7 +445,7 @@ def apply_operator(
 def pair_samples(u: DiscreteFunction, params: OperatorParams) -> WeightedSamples:
     """Interior pair quotients as weighted samples (ordered-pair weights)."""
     kern = get_kernel(u.grid, params)
-    return WeightedSamples(kern.pair_values(np.abs, u.values), kern.pair_wen)
+    return WeightedSamples(kern.pair_values(np.abs, u.values), kern.pair_weights())
 
 
 def _energy_scaled(
@@ -431,16 +453,35 @@ def _energy_scaled(
 ) -> float:
     """Modular energy of u / lam from pair quotients plus the Ghat exterior.
 
-    G is evaluated row block by row block into one pair-length vector,
-    which a single dot product reduces.
+    G is evaluated row block by row block.  Its values and the pairs'
+    weights are copied, in pair order, into two buffers of ``_BLOCK``
+    pairs; each full buffer, and the ragged last one, is reduced with one
+    dot product, and the partial sums are added left to right.  Up to
+    ``_BLOCK`` pairs that is a single dot product over the pair vector.
     """
-
-    def scaled_G(q: np.ndarray) -> np.ndarray:
+    wbuf = np.empty(_BLOCK)
+    gbuf = np.empty(_BLOCK)
+    fill = 0
+    total = 0.0
+    for rows, q in kern.upper_quotients(u):
         np.abs(q, out=q)
         q /= lam
-        return yf.evaluate(q)
-
-    total = float(np.dot(kern.pair_wen, kern.pair_values(scaled_G, u)))
+        vals = yf.evaluate(q)
+        weights = kern.upper_weights(rows)
+        at = 0
+        while at < len(vals):
+            take = min(_BLOCK - fill, len(vals) - at)
+            gbuf[fill : fill + take] = vals[at : at + take]
+            wbuf[fill : fill + take] = weights[at : at + take]
+            fill += take
+            at += take
+            if fill == _BLOCK:
+                total += float(np.dot(wbuf, gbuf))
+                fill = 0
+        # freed before the next block's quotients are formed
+        del vals, weights
+    if fill:
+        total += float(np.dot(wbuf[:fill], gbuf[:fill]))
     nz = u != 0.0
     if np.any(nz):
         hat = _hat_table(yf)
@@ -487,7 +528,7 @@ def _energy_hessian(
     for rows in _row_blocks(N):
         qs = kern.qs_rows(rows)
         wfull = hn * kern.wop_rows(rows) / np.where(qs > 0, qs, 1.0)
-        aq = np.abs(kern.quotients(u, rows))
+        aq = np.abs((u[rows, None] - u[None, :]) * qs)
         dq = 1e-7 * (1.0 + aq)
         gp = (yf.g(aq + dq) - yf.g(np.maximum(aq - dq, 0.0))) / (2.0 * dq)
         C = 2.0 * wfull * gp * qs**2

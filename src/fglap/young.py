@@ -523,6 +523,12 @@ def _pchip_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
     return d
 
 
+# arguments per block of a table evaluation: the gathered coefficient rows
+# (5 float64 per argument) and the other temporaries of a block stay near
+# 1 MiB, however many arguments a call passes
+_EVAL_BLOCK = 1 << 13
+
+
 class _LogLogTable:
     """Monotone log-log interpolation with power-law extrapolation.
 
@@ -621,14 +627,19 @@ class _LogLogTable:
 
     def _eval(self, flat: np.ndarray, derivative: bool) -> np.ndarray:
         """The table, or its derivative, at every element of ``flat``: zero
-        at nonpositive and NaN arguments."""
+        at nonpositive and NaN arguments.  Evaluated in blocks of
+        ``_EVAL_BLOCK`` arguments, which moves no bit: every step acts on
+        each argument alone."""
         out = np.zeros_like(flat)
-        fin = (flat > 0.0) & (flat < np.inf)
-        x = flat[fin]
-        ly, ls = self._log_eval(np.log(x), derivative)
-        val = np.exp(ly, out=ly)
-        out[fin] = val * ls / x if derivative else val
-        out[flat == np.inf] = self._at_inf[derivative]
+        for k in range(0, len(flat), _EVAL_BLOCK):
+            arg = flat[k : k + _EVAL_BLOCK]
+            res = out[k : k + _EVAL_BLOCK]
+            fin = (arg > 0.0) & (arg < np.inf)
+            x = arg[fin]
+            ly, ls = self._log_eval(np.log(x), derivative)
+            val = np.exp(ly, out=ly)
+            res[fin] = val * ls / x if derivative else val
+            res[arg == np.inf] = self._at_inf[derivative]
         return out
 
     def __call__(self, x):

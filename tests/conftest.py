@@ -91,12 +91,24 @@ def fresh_process_env():
     return env
 
 
+def _lattice_offsets(kern):
+    """Index of entry (i, j) of an N x N array in the kernel's per-offset
+    tables: the lattice offset from node i to node j, axis by axis."""
+    cells = kern.grid.cells
+    idx = np.indices(cells).reshape(len(cells), -1)
+    center = (np.array(cells) - 1)[:, None, None]
+    return tuple(idx[:, None, :] - idx[:, :, None] + center)
+
+
 def dense_kernel(kern):
     """The kernel's quotient scales and operator weights as N x N arrays,
     entry (i, j) read from its per-offset table at the lattice offset from
     node i to node j, independently of the kernel's row-block accessors."""
-    cells = kern.grid.cells
-    idx = np.indices(cells).reshape(len(cells), -1)
-    center = (np.array(cells) - 1)[:, None, None]
-    offsets = tuple(idx[:, None, :] - idx[:, :, None] + center)
+    offsets = _lattice_offsets(kern)
     return kern.qs_offsets[offsets], kern.wop_offsets[offsets]
+
+
+def dense_energy_weights(kern):
+    """The kernel's energy weights as an N x N array, read from its
+    per-offset table like ``dense_kernel``."""
+    return kern.wen_offsets[_lattice_offsets(kern)]

@@ -22,8 +22,7 @@ _LATTICE = {
     "dist",
     "qs_offsets",
     "wop_offsets",
-    "pair_wen",
-    "ray_dist",
+    "wen_offsets",
     "ray_scale",
     "ray_w",
     "_tri",
@@ -34,7 +33,10 @@ _LATTICE = {
     "quotients",
     "_upper",
     "upper_quotients",
+    "upper_weights",
+    "_pair_vector",
     "pair_values",
+    "pair_weights",
     "_row_blocks",
     "_row_step",
     "_upper_mask",

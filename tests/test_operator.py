@@ -29,8 +29,11 @@ from fglap import (
     scale_young,
 )
 from fglap.operator import (
+    _BLOCK,
     _THETA_ORDER,
+    _angular_rays,
     _energy_scaled,
+    _exterior_operator,
     _Kernel,
     _operator_pass,
     _KERNEL_CAPACITY,
@@ -39,7 +42,7 @@ from fglap.operator import (
     get_kernel,
 )
 from fglap.young import _HATS, _hat_table
-from conftest import dense_kernel, fresh_process_env, kink_safe
+from conftest import dense_energy_weights, dense_kernel, fresh_process_env, kink_safe
 from test_young import _reference_luxemburg_scale
 
 
@@ -474,11 +477,16 @@ def test_pair_samples_weights():
 # ---------------------------------------------------------------------------
 
 
-def _reference_energy_scaled(u, yf, kern, lam):
-    """The energy formed in one shot over the whole pair vector."""
+def _reference_pair_vectors(u, yf, kern, lam):
+    """The energy weights and G(|q| / lam) of every pair i < j, in pair
+    order, formed in one shot from the dense kernel."""
     i0, i1 = np.triu_indices(len(u), k=1)
     q = np.abs(u[i0] - u[i1]) * dense_kernel(kern)[0][i0, i1]
-    total = float(np.dot(kern.pair_wen, yf.evaluate(q / lam)))
+    return dense_energy_weights(kern)[i0, i1], yf.evaluate(q / lam)
+
+
+def _reference_exterior_energy(u, yf, kern, lam, total):
+    """total plus the exterior part of the energy of u / lam."""
     nz = u != 0.0
     if np.any(nz):
         hat = _hat_table(yf)
@@ -490,6 +498,49 @@ def _reference_energy_scaled(u, yf, kern, lam):
     return total
 
 
+def _reference_energy_scaled(u, yf, kern, lam):
+    """The energy with one dot product over the whole pair vector."""
+    weights, vals = _reference_pair_vectors(u, yf, kern, lam)
+    return _reference_exterior_energy(u, yf, kern, lam, float(np.dot(weights, vals)))
+
+
+def _chunked_reference_energy_scaled(u, yf, kern, lam):
+    """The energy with one dot product per chunk of _BLOCK pairs of the
+    pair vector, the partial sums added left to right from 0.0."""
+    weights, vals = _reference_pair_vectors(u, yf, kern, lam)
+    total = 0.0
+    for at in range(0, len(vals), _BLOCK):
+        total += float(np.dot(weights[at : at + _BLOCK], vals[at : at + _BLOCK]))
+    return _reference_exterior_energy(u, yf, kern, lam, total)
+
+
+def _energies(grid, yf, kern, params, reference):
+    """(energy, reference) at u and at lam = 0.37 for a random u."""
+    v = np.random.default_rng(11).standard_normal(grid.node_count)
+    return [
+        (energy(DiscreteFunction(grid, v), yf, params), reference(v, yf, kern, 1.0)),
+        (_energy_scaled(v, yf, kern, 0.37), reference(v, yf, kern, 0.37)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "family, bounds, cells",
+    [("piecewise2_3", [0.0, 1.0], 256), ("summix", [[0.0, 1.0], [0.0, 1.0]], (16, 16))],
+)
+def test_energy_of_one_chunk_is_bitwise_the_single_dot(families, family, bounds, cells):
+    # up to _BLOCK pairs the chunked energy is one dot product over the
+    # whole pair vector, the energy's bits before it was chunked
+    yf = families[family]
+    grid = Grid.build(bounds, cells)
+    params = OperatorParams(s=0.4)
+    kern = get_kernel(grid, params)
+    N = grid.node_count
+    assert N * (N - 1) // 2 <= _BLOCK
+    assert len(_row_blocks(N, upper=True)) > 1
+    for got, want in _energies(grid, yf, kern, params, _reference_energy_scaled):
+        assert got.hex() == want.hex()
+
+
 @pytest.mark.parametrize(
     "family, bounds, cells",
     [("piecewise2_3", [0.0, 1.0], 600), ("summix", [[0.0, 1.0], [0.0, 1.0]], (24, 24))],
@@ -499,15 +550,18 @@ def test_blocked_energy_is_bitwise_the_reference(families, family, bounds, cells
     grid = Grid.build(bounds, cells)
     params = OperatorParams(s=0.4)
     kern = get_kernel(grid, params)
-    # more than two row blocks of pairs, the last one ragged
-    blocks = _row_blocks(grid.node_count, upper=True)
+    # more than two row blocks of pairs, the last one ragged, and more
+    # than two chunks of pairs, which do not end where row blocks end
+    N = grid.node_count
+    blocks = _row_blocks(N, upper=True)
     assert len(blocks) > 2
     assert blocks[-1].stop - blocks[-1].start < blocks[0].stop - blocks[0].start
-    v = np.random.default_rng(11).standard_normal(grid.node_count)
-    got = energy(DiscreteFunction(grid, v), yf, params)
-    assert got.hex() == _reference_energy_scaled(v, yf, kern, 1.0).hex()
-    got = _energy_scaled(v, yf, kern, 0.37)
-    assert got.hex() == _reference_energy_scaled(v, yf, kern, 0.37).hex()
+    assert N * (N - 1) // 2 > 2 * _BLOCK
+    for got, want in _energies(grid, yf, kern, params, _chunked_reference_energy_scaled):
+        assert got.hex() == want.hex()
+    # the chunked sums move only the last bits of the single dot product
+    for got, want in _energies(grid, yf, kern, params, _reference_energy_scaled):
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_pair_passes_stay_within_block_memory(families):
@@ -527,9 +581,37 @@ def test_pair_passes_stay_within_block_memory(families):
         _, energy_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # half of one N x N float64 array, and two pair-length vectors
+    # half of one N x N float64 array; the energy holds no pair-length
+    # vector (one would take 15 MiB here)
     assert pass_peak < N * N * 8 // 2
-    assert energy_peak < 2 * 8 * (N * (N - 1) // 2)
+    assert energy_peak < 2 * 1024 * 1024
+
+
+def test_passes_stay_within_block_memory_at_2d_32(families):
+    yf = families["summix"]
+    grid = Grid.build([[0.0, 1.0], [0.0, 1.0]], (32, 32))
+    # built directly so the session's kernel cache does not keep it
+    kern = _Kernel(grid, OperatorParams(s=0.5))
+    v = np.sin(np.pi * grid.nodes[:, 0]) * np.sin(np.pi * grid.nodes[:, 1])
+    _hat_table(yf)  # the exterior table is built once per growth function
+    passes = {
+        "energy": lambda: _energy_scaled(v, yf, kern, 1.0),
+        "banded pass": lambda: _operator_pass(v, yf, kern, bands=True),
+        "exterior": lambda: _exterior_operator(v, yf, kern),
+    }
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, run in passes.items():
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            run()
+            peaks[name] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # one (N, 64) float64 array of ray arguments is 0.5 MiB; the exterior
+    # table evaluation once held about 8 MiB of temporaries over them
+    assert all(peak <= 4.5 * 1024 * 1024 for peak in peaks.values()), peaks
 
 
 _FAULT_LOOP = """
@@ -574,7 +656,8 @@ def test_pair_passes_take_few_page_faults():
 
 
 def _reference_kernel_arrays(grid, params):
-    """qs, wop and pair_wen built in one shot from the full distance matrix."""
+    """Dense qs, wop and energy weights built in one shot from the full
+    distance matrix."""
     s, n, h = params.s, grid.dim, grid.h
     pts = grid.nodes
     diff = pts[:, None, :] - pts[None, :, :]
@@ -584,9 +667,9 @@ def _reference_kernel_arrays(grid, params):
     np.fill_diagonal(qs, 0.0)
     wop = h**n * D ** (-(n + s))
     np.fill_diagonal(wop, 0.0)
-    iu = np.triu_indices(grid.node_count, k=1)
-    pair_wen = 2.0 * h ** (2 * n) * D[iu] ** (-n)
-    return qs, wop, pair_wen
+    wen = 2.0 * h ** (2 * n) * D ** (-n)
+    np.fill_diagonal(wen, 0.0)
+    return qs, wop, wen
 
 
 # several row blocks each, the last one ragged
@@ -610,13 +693,18 @@ def _accessor_blocks(grid):
     return _row_blocks(N) + [slice(a, min(a + step, N)) for a in range(0, N, step)]
 
 
-def _assert_kernel_arrays(kern, qs, wop, pair_wen):
+def _assert_kernel_arrays(kern, qs, wop, wen):
+    N = kern.grid.node_count
     for rows in _accessor_blocks(kern.grid):
         got = kern.qs_rows(rows)
-        assert got.shape == (rows.stop - rows.start, kern.grid.node_count)
+        assert got.shape == (rows.stop - rows.start, N)
         assert np.ascontiguousarray(got).tobytes() == qs[rows].tobytes()
         assert np.ascontiguousarray(kern.wop_rows(rows)).tobytes() == wop[rows].tobytes()
-    assert kern.pair_wen.tobytes() == pair_wen.tobytes()
+        # the pairs i < j of the block, in row-major order
+        upper = np.arange(N - rows.start)[None, :] > np.arange(rows.stop - rows.start)[:, None]
+        want = wen[rows, rows.start :][upper]
+        assert kern.upper_weights(rows).tobytes() == want.tobytes()
+    assert kern.pair_weights().tobytes() == wen[np.triu_indices(N, k=1)].tobytes()
 
 
 def _assert_kernel_rays(kern):
@@ -627,7 +715,6 @@ def _assert_kernel_rays(kern):
         ray_w = np.ones_like(ray_dist)
     else:
         ray_dist, ray_w = _reference_angular_rays(grid)
-    assert kern.ray_dist.tobytes() == ray_dist.tobytes()
     assert kern.ray_w.tobytes() == ray_w.tobytes()
     assert kern.ray_scale.tobytes() == (ray_dist ** (-kern.params.s)).tobytes()
 
@@ -644,8 +731,8 @@ def test_kernel_accessors_are_bitwise_the_one_shot_build(bounds, cells):
 
 
 def _reference_offset_arrays(grid, params):
-    """qs, wop and pair_wen from the distance of each pair's index offset,
-    measured from node 0 and looked up for every node pair."""
+    """Dense qs, wop and energy weights from the distance of each pair's
+    index offset, measured from node 0 and looked up for every node pair."""
     s, n, h = params.s, grid.dim, grid.h
     pts = grid.nodes
     N = grid.node_count
@@ -658,9 +745,9 @@ def _reference_offset_arrays(grid, params):
     np.fill_diagonal(qs, 0.0)
     wop = h**n * D ** (-(n + s))
     np.fill_diagonal(wop, 0.0)
-    iu = np.triu_indices(N, k=1)
-    pair_wen = 2.0 * h ** (2 * n) * D[iu] ** (-n)
-    return qs, wop, pair_wen
+    wen = 2.0 * h ** (2 * n) * D ** (-n)
+    np.fill_diagonal(wen, 0.0)
+    return qs, wop, wen
 
 
 @pytest.mark.parametrize("bounds, cells", _MULTI_BLOCK_GRIDS)
@@ -732,7 +819,9 @@ def test_angular_rays_are_bitwise_the_per_node_rule(bounds, cells):
     params = OperatorParams(s=0.4)
     kern = _Kernel(grid, params)
     ray_dist, ray_w = _reference_angular_rays(grid)
-    assert kern.ray_dist.tobytes() == ray_dist.tobytes()
+    got_dist, got_w = _angular_rays(grid)
+    assert got_dist.tobytes() == ray_dist.tobytes()
+    assert got_w.tobytes() == ray_w.tobytes()
     assert kern.ray_w.tobytes() == ray_w.tobytes()
     assert kern.ray_scale.tobytes() == (ray_dist ** (-params.s)).tobytes()
 
@@ -747,7 +836,7 @@ def test_pair_samples_are_bitwise_the_triu_form(bounds, cells):
     ref = np.abs(v[i0] - v[i1]) * dense_kernel(kern)[0][i0, i1]
     samples = pair_samples(DiscreteFunction(grid, v), params)
     assert samples.values.tobytes() == ref.tobytes()
-    assert samples.weights is kern.pair_wen
+    assert samples.weights.tobytes() == dense_energy_weights(kern)[i0, i1].tobytes()
 
 
 def _kernel_bytes(kern):
@@ -765,12 +854,12 @@ def test_kernel_build_streams_in_row_blocks():
     finally:
         tracemalloc.stop()
     N = grid.node_count
-    assert kern.pair_wen.nbytes == 8 * (N * (N - 1) // 2)
     assert kern.qs_offsets.shape == kern.wop_offsets.shape == (2 * N - 1,)
-    # besides the energy weights, the offset tables, the exterior rays and
-    # the upper-pair mask of one row block
+    assert kern.wen_offsets.shape == (2 * N - 1,)
+    # the distances, the offset tables, the exterior rays and the
+    # upper-pair mask of one row block, but no pair-length vector (15 MiB)
     resident = _kernel_bytes(kern)
-    assert resident <= kern.pair_wen.nbytes + 1024 * 1024
+    assert resident <= 1024 * 1024
     assert peak < resident + 4 * 1024 * 1024
 
 
@@ -778,12 +867,13 @@ def test_kernel_holds_no_dense_pair_array():
     grid = Grid.build([[0.0, 1.0], [0.0, 1.0]], (32, 32))
     kern = _Kernel(grid, OperatorParams(s=0.5))
     N = grid.node_count
-    assert kern.qs_offsets.shape == kern.wop_offsets.shape == (63, 63)
+    assert kern.qs_offsets.shape == kern.wop_offsets.shape == kern.wen_offsets.shape == (63, 63)
     assert all(
-        a.size < N * N for a in vars(kern).values() if isinstance(a, np.ndarray)
+        a.size < N * (N - 1) // 2 for a in vars(kern).values() if isinstance(a, np.ndarray)
     )
-    # the dense quotient scales and operator weights alone took 16 MiB
-    assert _kernel_bytes(kern) <= 6 * 1024 * 1024
+    # the dense quotient scales and operator weights took 16 MiB, the
+    # pair-length energy weights 4 MiB; the exterior rays are 1 MiB
+    assert _kernel_bytes(kern) <= 1.2 * 1024 * 1024
 
 
 def test_kernel_cache_keeps_the_most_recently_used():

@@ -38,6 +38,7 @@ from fglap import (
 )
 from fglap.operator import (
     _KERNELS,
+    _angular_rays,
     _energy_hessian,
     _exterior_operator,
     _operator_pass,
@@ -542,6 +543,15 @@ def test_crease_direction_is_bitwise_the_triu_form(families, bounds, cells):
             assert got.tobytes() == ref.tobytes()
 
 
+def _ray_dist(grid):
+    """Exit distances of the exterior rays: the 1d closed form, the 2d
+    angular rule."""
+    if grid.dim == 1:
+        (a, b), x = grid.bounds[0], grid.nodes[:, 0]
+        return np.column_stack([x - a, b - x])
+    return _angular_rays(grid)[0]
+
+
 @pytest.mark.parametrize("bounds, cells", _MULTI_BLOCK_GRIDS)
 def test_pair_test_margin_is_bitwise_the_triu_form(families, bounds, cells):
     grid = Grid.build(bounds, cells)
@@ -560,7 +570,8 @@ def test_pair_test_margin_is_bitwise_the_triu_form(families, bounds, cells):
         lhs = yf.slope_odd(qu) * qw
         rhs = yf.p_minus * yf(np.abs(qw))
         ref = float(np.min((lhs - rhs)[iu]))
-        scale = kern.ray_dist ** (-params.s)
+        scale = _ray_dist(grid) ** (-params.s)
+        assert scale.tobytes() == kern.ray_scale.tobytes()
         qu_e = u.values[:, None] * scale
         qw_e = w.values[:, None] * scale
         ext = yf.slope_odd(qu_e) * qw_e - yf.p_minus * yf(np.abs(qw_e))

@@ -1,6 +1,8 @@
 """The log-log tables behind Ghat and the critical conjugate, against
 scipy's PCHIP interpolator as a bitwise oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
@@ -146,6 +148,50 @@ def test_table_is_bitwise_scipy_pchip(tables, label):
     x = float(pts[7])
     assert table(x) == float(oracle(x))
     assert table.derivative(x) == float(oracle.derivative(x))
+
+
+def _one_shot_eval(table, flat, derivative):
+    """The table, or its derivative, at every element of ``flat`` in one
+    pass over all of them, as before evaluation was blocked."""
+    out = np.zeros_like(flat)
+    fin = (flat > 0.0) & (flat < np.inf)
+    x = flat[fin]
+    ly, ls = table._log_eval(np.log(x), derivative)
+    val = np.exp(ly, out=ly)
+    out[fin] = val * ls / x if derivative else val
+    out[flat == np.inf] = table._at_inf[derivative]
+    return out
+
+
+@pytest.mark.parametrize("label", ["hat:piecewise2_3", "gstar:power3.5", "random_uneven"])
+def test_blocked_table_eval_is_bitwise_one_shot(tables, label):
+    table = tables[label]
+    block = young._EVAL_BLOCK
+    rng = np.random.default_rng(29)
+    lo, hi = table.logx[0], table.logx[-1]
+    # three full blocks and a ragged fourth, over both power-law sides
+    x = np.exp(rng.uniform(lo - 2.0, hi + 2.0, 3 * block + 517))
+    special = np.array([0.0, -0.0, -1.0, -x[0], np.nan, np.inf, -np.inf])
+    for edge in (block, 2 * block, 3 * block):
+        x[edge - len(special) : edge] = special
+        x[edge : edge + len(special)] = special[::-1]
+    for derivative in (False, True):
+        want = _one_shot_eval(table, x, derivative)
+        assert np.array_equal(_bits(table._eval(x, derivative)), _bits(want))
+    # through the public call on a 2d array, whose rows straddle the edges
+    square = x[: 3 * block].reshape(-1, 96)
+    want = _one_shot_eval(table, square.ravel(), False).reshape(square.shape)
+    assert np.array_equal(_bits(table(square)), _bits(want))
+    # temporaries of one block: about 130 bytes per argument, which one
+    # pass over these 15 blocks' worth took for every argument at once
+    many = np.tile(x, 5)
+    tracemalloc.start()
+    try:
+        out = table.derivative(many)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 1.5 * 1024 * 1024
 
 
 _BAD_KNOTS = [
