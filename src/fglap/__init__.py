@@ -11,7 +11,6 @@ from .operator import (
     energy_gradient,
     gagliardo_seminorm,
     holder_seminorm,
-    pair_samples,
     pair_test_margin,
     s_quotient,
 )
@@ -28,7 +27,6 @@ from .solver import (
     domain_modular,
     fit_recursion,
     is_subcritical,
-    normalize_to_modular,
     solve_eigen,
     solve_semilinear,
     sup_norm,

@@ -30,7 +30,7 @@ whose last bit can depend on the thread count.
 Every pass over node pairs and exterior rays lives here and runs over node
 rows in blocks of about ``_BLOCK`` elements: the kernel build, the operator
 and its stationarity bands, the energy and its Newton Hessian, the pair
-samples, tests, crease normals and the Hoelder seminorm.  The kernel keeps
+test margin, crease normals and the Hoelder seminorm.  The kernel keeps
 the quotient scales, operator weights and energy weights once per lattice
 index offset and lays them out as row blocks on demand, so it holds O(N)
 numbers.  Where the node coordinates are exact in binary (power-of-two cell
@@ -40,8 +40,8 @@ relative to h.  The row blocking moves no bit: every element sees the same
 operations in the same order and each row sum is taken over its whole row.
 The energy reduces the pairs i < j in chunks of ``_BLOCK`` pairs, one dot
 product each, which moves its last bits once there are more pairs than
-one chunk; the pair samples and the pair test margin, whose minimum's
-sign at a zero margin depends on the layout, fill one pair-length vector.
+one chunk; the pair test margin, whose minimum's sign at a zero margin
+depends on the layout, fills one pair-length vector.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from numpy.lib.stride_tricks import as_strided
 
 from .grids import DiscreteFunction, Grid
 from .young import (
-    WeightedSamples,
     YoungFunction,
     luxemburg_scale,
     _gauss,
@@ -69,7 +68,6 @@ __all__ = [
     "energy",
     "energy_gradient",
     "gagliardo_seminorm",
-    "pair_samples",
     "pair_test_margin",
     "holder_seminorm",
     "get_kernel",
@@ -227,11 +225,6 @@ class _Kernel:
             fn(*(q for _, q in blocks))
             for blocks in zip(*(self.upper_quotients(v) for v in vs))
         )
-
-    def pair_weights(self) -> np.ndarray:
-        """The energy weights of all pairs i < j as one vector in pair order."""
-        N = self.grid.node_count
-        return self._pair_vector(self.upper_weights(rows) for rows in _row_blocks(N, upper=True))
 
     def parked_normals(self, v: np.ndarray, limit: int) -> list[np.ndarray]:
         """Normals of the pair quotients of v parked at |q| = 1 (to 1e-8),
@@ -440,12 +433,6 @@ def apply_operator(
     other nodes, plus the exact exterior ray integrals (u = 0 outside).
     """
     return _operator_pass(u.values, yf, get_kernel(u.grid, params), bands=False).value
-
-
-def pair_samples(u: DiscreteFunction, params: OperatorParams) -> WeightedSamples:
-    """Interior pair quotients as weighted samples (ordered-pair weights)."""
-    kern = get_kernel(u.grid, params)
-    return WeightedSamples(kern.pair_values(np.abs, u.values), kern.pair_weights())
 
 
 def _energy_scaled(

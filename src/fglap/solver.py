@@ -5,10 +5,11 @@ Barzilai-Borwein trial steps, Armijo backtracking through a projection, and
 a damped Newton polish once the line search stalls at the floating-point
 floor.  The eigen solver minimizes the nonlocal modular energy over the
 modular sphere { int G(|u|) = mu }, projecting by renormalization onto the
-sphere and sliding along density-jump creases when plain descent is
-blocked.  The reported eigenvalue is the ratio of the weak pairing <A u, u>
-(the double sum of g(quotient) against quotients of u) to the zero-order
-pairing sum h**n g(u) u, so at convergence the discrete Euler-Lagrange
+sphere and, for a family whose density may jump, sliding along
+density-jump creases when plain descent is blocked.  The reported
+eigenvalue is the ratio of the weak pairing <A u, u> (the double sum of
+g(quotient) against quotients of u) to the zero-order pairing sum
+h**n g(u) u, so at convergence the discrete Euler-Lagrange
 system  2 * operator(u) = lambda * g(u)  holds up to the residual tolerance.
 Residuals are reported in operator units, i.e. the nodal gradient divided
 by the cell weight.
@@ -62,7 +63,6 @@ __all__ = [
     "DeGiorgiTrace",
     "RecursionFitReport",
     "domain_modular",
-    "normalize_to_modular",
     "solve_eigen",
     "solve_semilinear",
     "is_subcritical",
@@ -111,10 +111,12 @@ _CREASES = 32
 class EigenResult:
     """Converged eigenpair with its modular level and iteration diagnostics.
 
-    ``residual`` is the stationarity measure in operator units: the plain
-    defect sup_k |2 A(u)_k - lambda g(u_k)| when that meets the tolerance,
-    else the looser measure of :func:`_subdifferential_residual`, which can
-    meet it for a smooth family whose plain defect at ``lam`` does not.
+    ``residual`` is the stationarity measure in operator units.  For a
+    family declared free of atoms (``atoms == ()``) it is the plain defect
+    sup_k |2 A(u)_k - lambda g(u_k)| at ``lam``.  For any other family it
+    is that defect when it meets the tolerance, else the looser measure of
+    :func:`_subdifferential_residual`, which can meet it although the plain
+    defect at ``lam`` does not.
     """
 
     u: DiscreteFunction
@@ -156,16 +158,6 @@ def domain_modular(u: DiscreteFunction, yf: YoungFunction) -> float:
     return modular(yf, WeightedSamples(u.values, w))
 
 
-def normalize_to_modular(u: DiscreteFunction, yf: YoungFunction, mu: float) -> DiscreteFunction:
-    """Rescale u so that its domain modular equals mu (within 1e-10 relative)."""
-    if not mu > 0:
-        raise ValueError("target modular level must be positive")
-    if not np.any(u.values != 0.0):
-        raise ValueError("cannot normalize the zero function")
-    c = _modular_scale(u.values, u.grid.node_weight, yf, mu)
-    return u.with_values(u.values / c)
-
-
 def _bump(grid: Grid) -> np.ndarray:
     """Positive product-of-boundary-distances profile, the descent seed."""
     vals = np.ones(grid.node_count)
@@ -181,11 +173,13 @@ def _subdifferential_residual(
 ) -> float:
     """Sup over nodes of the distance from 0 to the interval of possible
     Euler-Lagrange defects 2 A_sel(v) - lam' * g_sel(v), minimized over
-    one-sided density selections and over multipliers lam'.  For every
-    family, smooth ones too, lam' is searched in [0.9 lam, 1.1 lam] and the
-    bands widen each pair density by 1e-9 relative, summed over a kernel
-    row, so the value can sit below sup|2A - lam g(v)| at the reported lam.
-    Item 1 of ROADMAP.md tightens it to declared density atoms and lam.
+    one-sided density selections and over multipliers lam'.  The eigen
+    solve calls it only for families whose atoms are not declared empty.
+    It searches lam' in [0.9 lam, 1.1 lam], and the bands widen each pair
+    density by 1e-9 relative, summed over a kernel row, so the value can sit
+    below sup|2A - lam g(v)| at the reported lam even where no quotient
+    sits on an atom.  Item 3 of ROADMAP.md replaces it with a certificate
+    at the declared atoms.
 
     ``op`` is the operator pass at v, formed with bands; its band row sums
     and exterior term are reused.
@@ -402,11 +396,12 @@ def solve_eigen(
     """First eigenpair of the modular-constrained energy minimization.
 
     Runs the descent core on { int G(|u|) = mu }: the energy is the
-    objective, renormalization onto the sphere the projection, and the
-    iterate slides along active density-jump creases when plain descent is
-    blocked.  Convergence is reached when the measured stationarity defect,
-    as :class:`EigenResult` describes its ``residual``, drops below
-    opts.tol; a stalled descent raises :class:`StagnationError`.
+    objective, renormalization onto the sphere the projection, and, for a
+    family that may have atoms, the iterate slides along active density-jump
+    creases when plain descent is blocked.  Convergence is reached when the
+    measured stationarity defect, as :class:`EigenResult` describes its
+    ``residual``, drops below opts.tol; a stalled descent raises
+    :class:`StagnationError`.
     """
     if not mu > 0:
         raise ValueError("modular level mu must be positive")
@@ -415,6 +410,9 @@ def solve_eigen(
     u /= _modular_scale(u, hn, yf, mu)
 
     kern = get_kernel(grid, params)
+    # a density without atoms has no jump to park a quotient on: the plain
+    # defect is the measure, and there is no crease to slide along
+    may_jump = yf.atoms != ()
 
     def objective(v: np.ndarray) -> float:
         return energy(DiscreteFunction(grid, v), yf, params)
@@ -425,17 +423,17 @@ def solve_eigen(
         return v / _modular_scale(v, hn, yf, mu)
 
     def probe(v: np.ndarray) -> _Probe:
-        # one operator pass serves the plain and the subdifferential defect;
-        # it forms the bands even when the plain defect closes, which costs
-        # less than a second pass when it does not.  DiscreteFunction still
-        # rejects a non-finite iterate
-        op = _operator_pass(DiscreteFunction(grid, v).values, yf, kern, bands=True)
+        # for a family that may have atoms, one operator pass serves the
+        # plain and the subdifferential defect; it forms the bands even when
+        # the plain defect closes, which costs less than a second pass when
+        # it does not.  DiscreteFunction still rejects a non-finite iterate
+        op = _operator_pass(DiscreteFunction(grid, v).values, yf, kern, bands=may_jump)
         A2 = 2.0 * op.value
         gv = yf.slope_odd(v)
         lam = float(np.dot(A2, v) / np.dot(gv, v))
         r = A2 - lam * gv
         res = float(np.max(np.abs(r)))
-        if res > opts.tol:
+        if may_jump and res > opts.tol:
             # minimizers may park pair quotients on density-jump atoms, where
             # only the subdifferential inclusion can close; measure that instead
             res = _subdifferential_residual(yf, op, v, lam)
@@ -446,7 +444,7 @@ def solve_eigen(
 
     u, p, it, history, stall = _descend(
         grid, yf, params, u, objective, project, probe, opts,
-        lambda v, p: _crease_direction(kern, v, p),
+        (lambda v, p: _crease_direction(kern, v, p)) if may_jump else None,
     )
     if p.res <= opts.tol:
         return EigenResult(

@@ -108,7 +108,9 @@ class YoungFunction:
     through ``__call__`` which applies the even extension G(|t|).  The index
     bounds satisfy p_minus <= t*g(t)/G(t) <= p_plus on the sampled range,
     with 1 < p_minus <= p_plus < inf.  ``inverse_fn``, when present, is a
-    closed-form or tabulated inverse used to skip bisection.
+    closed-form or tabulated inverse used to skip bisection.  ``atoms`` are
+    the arguments t > 0 where g may jump: () when g is continuous, None
+    when they are unknown, which callers treat as "may jump anywhere".
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -117,6 +119,7 @@ class YoungFunction:
     p_plus: float
     label: str
     inverse_fn: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
+    atoms: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
         if not (1.0 < self.p_minus <= self.p_plus < np.inf):
@@ -191,7 +194,7 @@ def make_power(p: float) -> YoungFunction:
     def inv(y):
         return y ** (1.0 / p)
 
-    return YoungFunction(ev, dv, p, p, f"power({p:g})", inv)
+    return YoungFunction(ev, dv, p, p, f"power({p:g})", inv, atoms=())
 
 
 def make_power_log(p: float) -> YoungFunction:
@@ -242,7 +245,7 @@ def make_power_log(p: float) -> YoungFunction:
                 f"power_log({p:g}): sampled elasticity leaves (1, inf); "
                 f"minimum {p_minus:.6g}"
             )
-    return YoungFunction(ev, dv, p_minus, p_plus, f"power_log({p:g})")
+    return YoungFunction(ev, dv, p_minus, p_plus, f"power_log({p:g})", atoms=(1.0,))
 
 
 def make_piecewise_power(p: float, q: float) -> YoungFunction:
@@ -265,7 +268,7 @@ def make_piecewise_power(p: float, q: float) -> YoungFunction:
         return np.where(y <= 1.0, y ** (1.0 / p), y ** (1.0 / q))
 
     return YoungFunction(
-        ev, dv, min(p, q), max(p, q), f"piecewise_power({p:g},{q:g})", inv
+        ev, dv, min(p, q), max(p, q), f"piecewise_power({p:g},{q:g})", inv, atoms=(1.0,)
     )
 
 
@@ -283,10 +286,16 @@ def combine(
 
     Sums and maxima inherit [min p_minus, max p_plus]; compositions multiply
     the bounds of their parts.  Results are generally unnormalized.
+
+    A sum's atoms are the union of its active parts' atoms, and a
+    composition of atom-free parts has none; a maximum, a composition with
+    an atom, and any part whose atoms are unknown give unknown atoms, since
+    the switch points and pullbacks that would join them are not located.
     """
     parts = list(parts)
     if not parts:
         raise YoungFunctionError("combine requires at least one part")
+    atoms = None
 
     if kind == "sum":
         if coefficients is None:
@@ -306,6 +315,8 @@ def combine(
         active = [f for c, f in zip(coeffs, parts) if c > 0]
         p_minus = min(f.p_minus for f in active)
         p_plus = max(f.p_plus for f in active)
+        if all(f.atoms is not None for f in active):
+            atoms = tuple(sorted(set().union(*(f.atoms for f in active))))
         label = "sum(" + ",".join(f"{c:g}*{f.label}" for c, f in zip(coeffs, parts)) + ")"
     elif kind == "max":
         if coefficients is not None:
@@ -345,15 +356,17 @@ def combine(
 
         p_minus = float(np.prod([f.p_minus for f in parts]))
         p_plus = float(np.prod([f.p_plus for f in parts]))
+        if all(f.atoms == () for f in parts):
+            atoms = ()
         label = "compose(" + ",".join(f.label for f in parts) + ")"
     else:
         raise YoungFunctionError(f"unknown combinator kind {kind!r}")
 
-    return YoungFunction(ev, dv, p_minus, p_plus, label)
+    return YoungFunction(ev, dv, p_minus, p_plus, label, atoms=atoms)
 
 
 def scale_young(yf: YoungFunction, c: float) -> YoungFunction:
-    """Value rescaling c * G.  Index bounds are unchanged."""
+    """Value rescaling c * G.  Index bounds and atoms are unchanged."""
     if not c > 0:
         raise YoungFunctionError("scale factor must be positive")
     c = float(c)
@@ -371,11 +384,13 @@ def scale_young(yf: YoungFunction, c: float) -> YoungFunction:
         yf.p_plus,
         f"{c:g}*{yf.label}",
         inv,
+        yf.atoms,
     )
 
 
 def normalize_young(yf: YoungFunction) -> YoungFunction:
-    """Rescale values by 1/G(1) so that G(1) = 1; indices are preserved."""
+    """Rescale values by 1/G(1) so that G(1) = 1; indices and atoms are
+    preserved."""
     g1 = float(yf.evaluate(np.array([1.0]))[0])
     if not np.isfinite(g1) or g1 <= 0:
         raise YoungFunctionError(f"cannot normalize {yf.label}: G(1) = {g1}")
@@ -467,7 +482,8 @@ def conjugate(yf: YoungFunction) -> YoungFunction:
     Evaluation solves the first-order condition g(a) = t by monotone
     bisection; the derivative of the result is the right-continuous
     generalized inverse of g.  Index bounds swap and conjugate:
-    (p_plus', p_minus') with r' = r / (r - 1).
+    (p_plus', p_minus') with r' = r / (r - 1).  The atoms are left unknown:
+    the conjugate's density jumps where g is flat, which is not located.
     """
 
     def maximizer(t):
@@ -528,6 +544,12 @@ def _pchip_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
 # 1 MiB, however many arguments a call passes
 _EVAL_BLOCK = 1 << 13
 
+# arguments from which a table finds its rows by arithmetic: about 14 us per
+# call plus 6 ns per argument, which beats a binary search from 2,048
+# arguments even when they are sorted (23 against 36 us; at 1,024 the two
+# tie, and verify evaluates sorted grids of fewer)
+_GUESS_MIN = 1 << 11
+
 
 class _LogLogTable:
     """Monotone log-log interpolation with power-law extrapolation.
@@ -550,6 +572,13 @@ class _LogLogTable:
     columns, and the derivative's coefficients 2*c2 and 3*c3 are formed
     from the gathered rows with the float operations scipy's
     ``derivative()`` uses.
+
+    On log-uniform knots, and for at least ``_GUESS_MIN`` arguments at a
+    time, a row is found by arithmetic: the guess
+    floor((log x - edge 0) / step) + 1 is kept where the edges on either
+    side confirm it, and every other argument is searched, so the rows are
+    ``searchsorted``'s, bit for bit.  Whether the knots are log-uniform is
+    decided once, at build.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -591,6 +620,12 @@ class _LogLogTable:
         # row r covers edges[r-1] <= log x < edges[r]; the last edge is
         # nudged up so that the last knot stays in the last cubic
         self._edges = np.concatenate([logx[:-1], [np.nextafter(logx[-1], np.inf)]])
+        # knots count as log-uniform when the spacings spread by at most
+        # 1e-6 of their mean, so guesses drift by at most 1e-6 rows per
+        # knot; the reductions make no knot-length temporary
+        step = (logx[-1] - logx[0]) / len(h)
+        uniform = h.max() - h.min() <= 1e-6 * step
+        self._inv_step = 1.0 / step if uniform else None
         # the value and derivative at +inf: the upper power law, as an
         # unbounded argument gives it
         with np.errstate(invalid="ignore"):
@@ -605,10 +640,39 @@ class _LogLogTable:
     def logy(self) -> np.ndarray:
         return self._coef[1:, 1]
 
+    def _rows(self, lx: np.ndarray) -> np.ndarray:
+        """The row of every finite lx: ``searchsorted(edges, lx, "right")``."""
+        edges = self._edges
+        if self._inv_step is None or len(lx) < _GUESS_MIN:
+            return np.searchsorted(edges, lx, "right")
+        n = len(edges)
+        # one float buffer holds the guess and then both edge reads (take
+        # writes it unbuffered in the wrap and clip modes): with a fresh
+        # array for each, verify's peak RSS read 0.4 MiB higher while all
+        # its calls took this path
+        buf = lx - edges[0]
+        buf *= self._inv_step
+        buf += 1.0
+        # truncation is the floor wherever the clip leaves the guess above 0
+        rows = buf.astype(np.intp)
+        np.clip(rows, 0, n, out=rows)
+        # row r holds edges[r - 1] <= lx < edges[r]; row 0 has no lower
+        # edge and row n no upper one, so the wrapped and clipped reads
+        # there are masked off
+        rows -= 1
+        miss = edges.take(rows, out=buf, mode="wrap") > lx
+        rows += 1
+        miss &= rows > 0
+        above = edges.take(rows, out=buf, mode="clip") <= lx
+        above &= rows < n
+        miss |= above
+        if miss.any():
+            rows[miss] = np.searchsorted(edges, lx[miss], "right")
+        return rows
+
     def _log_eval(self, lx: np.ndarray, want_slope: bool):
         """log y, and with ``want_slope`` d log y / d log x, at finite lx."""
-        rows = np.searchsorted(self._edges, lx, "right")
-        c = self._coef.take(rows, axis=0)
+        c = self._coef.take(self._rows(lx), axis=0)
         s = lx - c[:, 0]
         s2 = s * s
         ly = c[:, 2] * s

@@ -514,3 +514,20 @@ def test_verify_margins_carry_no_negative_zero(monkeypatch, families, seed):
     zeros = [c.name for c in rep.checks if c.margin == 0.0]
     assert "truncation_pair_inequality" in zeros
     assert all(np.copysign(1.0, c.margin) > 0 for c in rep.checks if c.margin == 0.0)
+
+
+def test_cli_import_builds_nothing():
+    # importing the CLI is all a command's set-up does before its config is
+    # read: it loads no verify suite and builds no Ghat table or kernel
+    code = (
+        "import sys, fglap.cli; from fglap import operator, young; "
+        "print('fglap.verify' in sys.modules, len(young._HATS), len(operator._KERNELS))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=fresh_process_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.split() == ["False", "0", "0"]

@@ -36,7 +36,6 @@ _LATTICE = {
     "upper_weights",
     "_pair_vector",
     "pair_values",
-    "pair_weights",
     "_row_blocks",
     "_row_step",
     "_upper_mask",
@@ -46,7 +45,7 @@ _LATTICE = {
 # crease normals the solver slides along
 _KERNEL_SURFACE = {"grid", "params", "parked_normals"}
 # the growth-function layer: the log-log tables and the replayed root finds
-_TABLES = {"_KNOTS", "_panel_integral", "_LogLogTable", "_replay_bisection"}
+_TABLES = {"_KNOTS", "_GUESS_MIN", "_panel_integral", "_LogLogTable", "_replay_bisection"}
 
 
 def _referenced_names(path: Path) -> set:

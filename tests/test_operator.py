@@ -24,7 +24,6 @@ from fglap import (
     make_piecewise_power,
     make_power,
     make_power_log,
-    pair_samples,
     s_quotient,
     scale_young,
 )
@@ -463,15 +462,6 @@ def test_seminorm_homogeneity_2d(families):
     )
 
 
-def test_pair_samples_weights():
-    grid = Grid.build([0.0, 1.0], 8)
-    params = OperatorParams(s=0.5)
-    u = DiscreteFunction(grid, np.arange(8.0))
-    samples = pair_samples(u, params)
-    assert samples.values.shape == (8 * 7 // 2,)
-    assert np.all(samples.weights > 0)
-
-
 # ---------------------------------------------------------------------------
 # blocked pair passes
 # ---------------------------------------------------------------------------
@@ -704,7 +694,10 @@ def _assert_kernel_arrays(kern, qs, wop, wen):
         upper = np.arange(N - rows.start)[None, :] > np.arange(rows.stop - rows.start)[:, None]
         want = wen[rows, rows.start :][upper]
         assert kern.upper_weights(rows).tobytes() == want.tobytes()
-    assert kern.pair_weights().tobytes() == wen[np.triu_indices(N, k=1)].tobytes()
+    # chained over the pair passes' blocks, the weights run in pair order
+    blocks = _row_blocks(N, upper=True)
+    chained = np.concatenate([kern.upper_weights(rows) for rows in blocks])
+    assert chained.tobytes() == wen[np.triu_indices(N, k=1)].tobytes()
 
 
 def _assert_kernel_rays(kern):
@@ -834,9 +827,11 @@ def test_pair_samples_are_bitwise_the_triu_form(bounds, cells):
     v = np.random.default_rng(13).standard_normal(grid.node_count)
     i0, i1 = np.triu_indices(grid.node_count, k=1)
     ref = np.abs(v[i0] - v[i1]) * dense_kernel(kern)[0][i0, i1]
-    samples = pair_samples(DiscreteFunction(grid, v), params)
-    assert samples.values.tobytes() == ref.tobytes()
-    assert samples.weights.tobytes() == dense_energy_weights(kern)[i0, i1].tobytes()
+    # the pair values the test margin reduces, and the energy's weights
+    assert kern.pair_values(np.abs, v).tobytes() == ref.tobytes()
+    blocks = _row_blocks(grid.node_count, upper=True)
+    weights = np.concatenate([kern.upper_weights(rows) for rows in blocks])
+    assert weights.tobytes() == dense_energy_weights(kern)[i0, i1].tobytes()
 
 
 def _kernel_bytes(kern):

@@ -27,7 +27,6 @@ from fglap import (
     make_piecewise_power,
     make_power,
     make_power_log,
-    normalize_to_modular,
     pair_test_margin,
     scale_young,
     sobolev_conjugate,
@@ -61,12 +60,17 @@ from test_operator import _MULTI_BLOCK_GRIDS, dense_linear_matrix_1d, linear_fam
 # ---------------------------------------------------------------------------
 
 
+def _onto_level(u, yf, mu):
+    """u rescaled onto the modular level mu, as the eigen solve projects."""
+    return u.with_values(u.values / _modular_scale(u.values, u.grid.node_weight, yf, mu))
+
+
 def test_normalize_identity_when_already_at_level():
     G = make_power(2.0)
     grid = Grid.build([0.0, 1.0], 16)
     u = DiscreteFunction(grid, np.full(16, 2.0))
     mu = domain_modular(u, G)
-    out = normalize_to_modular(u, G, mu)
+    out = _onto_level(u, G, mu)
     assert np.allclose(out.values, u.values, rtol=1e-12)
 
 
@@ -75,7 +79,7 @@ def test_normalize_constant_closed_form():
     G = make_power(2.0)
     grid = Grid.build([0.0, 1.0], 16)
     u = DiscreteFunction(grid, np.full(16, 2.0))
-    out = normalize_to_modular(u, G, 1.0)
+    out = _onto_level(u, G, 1.0)
     assert np.allclose(out.values, 1.0, rtol=1e-10)
     assert domain_modular(out, G) == pytest.approx(1.0, rel=1e-10)
 
@@ -86,7 +90,7 @@ def test_normalize_scale_inside_index_bracket(families):
     for name, yf in families.items():
         u = DiscreteFunction(grid, rng.standard_normal(32) * 3.0)
         for mu in (0.1, 1.0, 7.0):
-            out = normalize_to_modular(u, yf, mu)
+            out = _onto_level(u, yf, mu)
             c = u.values[0] / out.values[0]
             r = domain_modular(u, yf) / mu
             lo = min(r ** (1 / yf.p_plus), r ** (1 / yf.p_minus))
@@ -99,7 +103,7 @@ def test_normalize_rejects_zero():
     G = make_power(2.0)
     grid = Grid.build([0.0, 1.0], 8)
     with pytest.raises(ValueError):
-        normalize_to_modular(DiscreteFunction(grid, np.zeros(8)), G, 1.0)
+        _onto_level(DiscreteFunction(grid, np.zeros(8)), G, 1.0)
 
 
 def _reference_modular_scale(values, weight, yf, mu):
@@ -336,6 +340,39 @@ def test_eigen_2d_pinned(families):
     assert res.iterations == 15
     assert res.lam == pytest.approx(37.64557000054104, rel=1e-12)
     assert res.residual == pytest.approx(5.342322193513382e-07, rel=1e-12)
+
+
+def test_atom_free_families_skip_the_slope_bands(families, monkeypatch):
+    # a family whose density has no atom forms no bands, measures no
+    # subdifferential and slides along no crease; a family with one does
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr("fglap.operator._slope_bands", reached)
+    monkeypatch.setattr(solver, "_subdifferential_residual", reached)
+    monkeypatch.setattr(solver, "_crease_direction", reached)
+    grids = (Grid.build([0.0, 1.0], 32), Grid.build([[0.0, 1.0], [0.0, 1.0]], (8, 8)))
+    opts = SolveOptions(tol=1e-6, max_iter=3000)
+    for name in ("power2", "power3.5", "summix"):
+        for grid in grids:
+            res = solve_eigen(grid, families[name], OperatorParams(s=0.5), 1.0, opts)
+            assert res.residual <= 1e-6, (name, grid.dim)
+    with pytest.raises(Reached):
+        solve_eigen(grids[0], families["piecewise2_3"], OperatorParams(s=0.5), 1.0, opts)
+
+
+@pytest.mark.parametrize("name, cells", [("power2", 16), ("power2", 64), ("summix", 32)])
+def test_atom_free_residual_is_the_plain_defect(families, name, cells):
+    # at a tolerance below the bands' 1e-9 slack the subdifferential
+    # measure read 0.0 here; the plain defect at the returned pair does not
+    yf = families[name]
+    params = OperatorParams(s=0.5)
+    res = solve_eigen(Grid.build([0.0, 1.0], cells), yf, params, 1.0, SolveOptions(tol=1e-13))
+    defect = 2.0 * apply_operator(res.u, yf, params) - res.lam * yf.slope_odd(res.u.values)
+    assert 0.0 < res.residual == np.max(np.abs(defect))
 
 
 def _reference_subdifferential_residual(yf, kern, v, lam):

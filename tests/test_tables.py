@@ -1,6 +1,7 @@
 """The log-log tables behind Ghat and the critical conjugate, against
 scipy's PCHIP interpolator as a bitwise oracle."""
 
+import copy
 import tracemalloc
 
 import numpy as np
@@ -192,6 +193,39 @@ def test_blocked_table_eval_is_bitwise_one_shot(tables, label):
     finally:
         tracemalloc.stop()
     assert peak <= out.nbytes + 1.5 * 1024 * 1024
+
+
+@pytest.mark.parametrize("label", ["hat:summix", "gstar:summix"])
+def test_rows_are_searchsorted_bit_for_bit(tables, label):
+    table = tables[label]
+    # Ghat's knots are log-uniform, so its rows are guessed by arithmetic;
+    # the forward conjugate's knots are the tabulated integral, not uniform
+    assert (table._inv_step is not None) == label.startswith("hat:")
+    edges = table._edges
+    knots = table.logx
+    x = np.exp(knots)
+    lx = np.concatenate([
+        # every knot and its float neighbours, in log and in x coordinates
+        knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+        np.log(np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)])),
+        # below the first knot and above the last, near and far
+        knots[0] - np.array([1e-12, 1e-3, 1.0, 40.0, 700.0]),
+        knots[-1] + np.array([1e-12, 1e-3, 1.0, 40.0, 700.0]),
+    ])
+    assert np.array_equal(table._rows(lx), np.searchsorted(edges, lx, "right"))
+    # evaluated in blocks (three, the last one ragged and short enough to
+    # be searched, and the knots with their neighbours), against the same
+    # table searching every row
+    assert 517 < young._GUESS_MIN <= young._EVAL_BLOCK
+    searched = copy.copy(table)
+    searched._inv_step = None
+    rng = np.random.default_rng(31)
+    spread = np.exp(rng.uniform(knots[0] - 2.0, knots[-1] + 2.0, 2 * young._EVAL_BLOCK + 517))
+    at_knots = np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)])
+    for args in (spread, at_knots):
+        for derivative in (False, True):
+            got = table._eval(args, derivative)
+            assert np.array_equal(_bits(got), _bits(searched._eval(args, derivative)))
 
 
 _BAD_KNOTS = [

@@ -2,6 +2,7 @@
 critical conjugate, modulars, and the truncation-recursion threshold."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.integrate import quad
 from fglap import (
     EmbeddingConditionError,
     WeightedSamples,
+    YoungFunction,
     YoungFunctionError,
     chebyshev_bound,
     combine,
@@ -585,6 +587,37 @@ def test_scale_and_normalize():
         scale_young(make_power(2.0), 0.0)
     N = normalize_young(combine("sum", [make_power(2.0), make_power(3.0)]))
     assert N(1.0) == pytest.approx(1.0)
+
+
+def test_atoms_of_every_family_and_combinator(families):
+    power, powerlog = make_power(2.0), make_power_log(3.0)
+    piecewise = make_piecewise_power(2.0, 3.0)
+    assert power.atoms == ()
+    assert piecewise.atoms == (1.0,)
+    assert powerlog.atoms == (1.0,)
+    # a hand-built function has unknown atoms, and so do the conjugates
+    assert YoungFunction(power.evaluate, power.derivative, 2.0, 2.0, "bare").atoms is None
+    assert conjugate(power).atoms is None
+    # a sum takes the union of its active parts' atoms, when all are known
+    assert combine("sum", [power, make_power(3.0)]).atoms == ()
+    assert combine("sum", [powerlog, power, piecewise]).atoms == (1.0,)
+    assert combine("sum", [power, piecewise], [1.0, 0.0]).atoms == ()
+    assert combine("sum", [power, conjugate(power)]).atoms is None
+    assert combine("sum", [power, conjugate(power)], [1.0, 0.0]).atoms == ()
+    # a maximum's switch points are not located, nor a composition's pullbacks
+    assert combine("max", [power, make_power(3.0)]).atoms is None
+    assert combine("compose", [power, make_power(3.0)]).atoms == ()
+    assert combine("compose", [power, piecewise]).atoms is None
+    assert combine("compose", [piecewise, power]).atoms is None
+    # rescaling keeps its base's atoms, through dataclasses.replace too
+    for base in (power, piecewise, conjugate(power)):
+        assert scale_young(base, 3.0).atoms == base.atoms
+        assert normalize_young(base).atoms == base.atoms
+    assert replace(piecewise, label="renamed").atoms == (1.0,)
+    want = {"power2": (), "power3.5": (), "piecewise2_3": (1.0,), "powerlog3": (1.0,), "summix": ()}
+    assert {name: yf.atoms for name, yf in families.items()} == want
+    record = {"family": "scaled", "factor": 2, "base": {"family": "power_log", "p": 3}}
+    assert young_from_config(record).atoms == (1.0,)
 
 
 # ---------------------------------------------------------------------------
