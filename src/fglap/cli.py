@@ -109,7 +109,6 @@ _KEYS = {
     "semilinear": (_RECORD, _record, None),
     "seed": ("an integer >= 0", lambda v: _integer(v) and v >= 0, 0),
     "points": ("an integer >= 2", lambda v: _integer(v) and v >= 2, 100),
-    "fast": ("a boolean", lambda v: isinstance(v, bool), True),
     "out": ("a string", lambda v: isinstance(v, str), None),
 }
 
@@ -171,21 +170,11 @@ def _run_young(cfg) -> dict[str, str]:
     comp = embedding_composition(yf, s, n, gstar)
     conj = conjugate(yf)
     ts = np.logspace(-3, 3, cfg["points"])
-    rows = []
-    for t in ts:
-        rows.append(
-            [
-                t,
-                float(yf(t)),
-                float(yf.g(t)),
-                float(conj(t)),
-                float(gstar(t)),
-                float(comp(t)),
-                float(indicator_gauge(yf, s, n, t, gstar)),
-            ]
-        )
-    table = _csv(["t", "G", "g", "Gtilde", "Gstar", "H", "K"], rows)
-    two_col = _csv(["t", "G"], [[t, float(yf(t))] for t in ts])
+    G = yf(ts)
+    K = indicator_gauge(yf, s, n, ts, gstar)
+    columns = (ts, G, yf.g(ts), conj(ts), gstar(ts), comp(ts), K)
+    table = _csv(["t", "G", "g", "Gtilde", "Gstar", "H", "K"], zip(*columns))
+    two_col = _csv(["t", "G"], zip(ts, G))
     return {"young_table.csv": table, "young_function.csv": two_col}
 
 
@@ -291,14 +280,11 @@ def _run_verify(cfg) -> tuple[dict[str, str], bool]:
         families = dict(families)
         families["config"] = young_from_config(cfg["young"])
         primary = "config"
-    sizes = (24, 48, 96) if cfg["fast"] else (32, 64, 128)
     report = run_verify(
         seed=cfg["seed"],
         s=cfg["s"],
         mu=cfg["mu"],
         n=cfg.get("n", 2),
-        draws=10 if cfg["fast"] else 25,
-        ladder_sizes=sizes,
         primary=primary,
         families=families,
     )
@@ -308,6 +294,10 @@ def _run_verify(cfg) -> tuple[dict[str, str], bool]:
 def run_command(cfg: dict, refine_levels: int = 0) -> tuple[dict[str, str], int]:
     """Execute the configured command; returns (artifacts, exit_code)."""
     cmd = cfg["command"]
+    if refine_levels < 0:
+        raise ConfigError(f"--refine takes a count >= 0, got {refine_levels}")
+    if refine_levels and cmd != "solve":
+        raise ConfigError(f"--refine applies to the solve command only, not {cmd!r}")
     try:
         if cmd == "young":
             return _run_young(cfg), 0
@@ -335,7 +325,7 @@ def main(argv=None) -> int:
         "--refine",
         type=int,
         default=0,
-        help="rerun the solve on this many successive grid refinements",
+        help="solve only: rerun the solve on this many successive grid refinements",
     )
     args = parser.parse_args(argv)
 

@@ -40,15 +40,17 @@ relative to h.  The row blocking moves no bit: every element sees the same
 operations in the same order and each row sum is taken over its whole row.
 The energy reduces the pairs i < j in chunks of ``_BLOCK`` pairs, one dot
 product each, which moves its last bits once there are more pairs than
-one chunk; the pair test margin, whose minimum's sign at a zero margin
-depends on the layout, fills one pair-length vector.
+one chunk.  The pair test margin takes its minimum block by block; a zero
+margin, whose sign would depend on the order the minimum sees, is
+returned as +0.0.  No pass outside the Newton Hessian holds pair-length
+data.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -107,12 +109,14 @@ class _Kernel:
     shape (2 M_k - 1) per axis, zero at offset 0: the quotient scales
     ``qs_offsets`` = d**(-s), the operator weights ``wop_offsets`` =
     h**n d**(-n-s) and the energy weights ``wen_offsets`` = 2 h**(2n) d**(-n).
+    Each table is read through one lattice view, built with the kernel,
+    whose entry [i..., j...] is the table's value at the offset j - i.
     ``qs_rows`` and ``wop_rows`` lay the first two out as dense row blocks,
     ``upper_quotients`` and ``upper_weights`` give the pairs i < j of a row
-    block; all are built per call and never stored.  The exterior keeps the
-    ray scales d**(-s) and angular weights per node and ray.  On lattices
-    whose node coordinates are exact in binary every entry is bitwise the
-    one of the pair's own distance.
+    block; the blocks are formed per call and never stored.  The exterior
+    keeps the ray scales d**(-s) and angular weights per node and ray.  On
+    lattices whose node coordinates are exact in binary every entry is
+    bitwise the one of the pair's own distance.
     """
 
     def __init__(self, grid: Grid, params: OperatorParams):
@@ -125,6 +129,13 @@ class _Kernel:
         self.qs_offsets = self._reflect(self.dist[1:] ** (-s))
         self.wop_offsets = self._reflect(h**n * self.dist[1:] ** (-(n + s)))
         self.wen_offsets = self._reflect(2.0 * h ** (2 * n) * self.dist[1:] ** (-n))
+        # a view owns no data, but its nbytes reads N**2 * 8: held in a dict,
+        # it stays out of the count of the arrays the kernel holds
+        self._views = {
+            "qs": self._lattice_view(self.qs_offsets),
+            "wop": self._lattice_view(self.wop_offsets),
+            "wen": self._lattice_view(self.wen_offsets),
+        }
         if n == 1:
             a, b = grid.bounds[0]
             x = grid.nodes[:, 0]
@@ -144,42 +155,38 @@ class _Kernel:
         per_node.flat[1:] = values
         return per_node[np.ix_(*(np.abs(np.arange(1 - m, m)) for m in cells))]
 
-    def _offset_rows(self, table: np.ndarray, rows: slice, first: int = 0) -> np.ndarray:
-        """Rows i in rows, columns j >= first, of the dense N x N array whose
-        entry (i, j) is the offset table's entry at the offset from node i
-        to node j: a strided view in 1d; in 2d one strided copy per lattice
-        row of nodes, of the lattice rows of columns from the one holding
-        node ``first`` on, returned as a view from column ``first``."""
+    def _lattice_view(self, table: np.ndarray) -> np.ndarray:
+        """Read-only view of an offset table with entry [i..., j...] at the
+        offset j - i, axis by axis, for lattice indices i and j."""
         cells = self.grid.cells
-        N = self.grid.node_count
-        # view[i..., j...] is the entry at offset j - i, axis by axis
         center = table[tuple(slice(m - 1, None) for m in cells)]
         strides = tuple(-st for st in table.strides) + table.strides
-        view = as_strided(center, cells + cells, strides, writeable=False)
-        start, stop, _ = rows.indices(N)
-        if len(cells) == 1:
+        return as_strided(center, cells + cells, strides, writeable=False)
+
+    def _offset_rows(self, table: str, rows: slice, first: int = 0) -> np.ndarray:
+        """Rows i in rows, columns j >= first, of the dense N x N array whose
+        entry (i, j) is the named table's entry at the offset from node i to
+        node j: a slice of its lattice view in 1d; in 2d one gather of the
+        lattice rows of columns from the one holding node ``first`` on,
+        returned as a view from column ``first``."""
+        view = self._views[table]
+        start, stop, _ = rows.indices(self.grid.node_count)
+        if self.grid.dim == 1:
             return view[start:stop, first:]
-        M2 = cells[1]
+        M2 = self.grid.cells[1]
         lead, skip = divmod(first, M2)
-        out = np.empty((stop - start, N - lead * M2))
-        grid_out = out.reshape(stop - start, cells[0] - lead, M2)
-        i = start
-        while i < stop:
-            a, b = divmod(i, M2)
-            end = min(stop, (a + 1) * M2)
-            grid_out[i - start : end - start] = view[a, b : b + end - i, lead:]
-            i = end
-        return out[:, skip:]
+        a, b = divmod(np.arange(start, stop), M2)
+        return view[a, b, lead:].reshape(stop - start, -1)[:, skip:]
 
     def qs_rows(self, rows: slice) -> np.ndarray:
         """Quotient scales |x_i - x_j|**(-s) of the nodes i in rows against
         every node j, zero on the diagonal, as an (r, N) array."""
-        return self._offset_rows(self.qs_offsets, rows)
+        return self._offset_rows("qs", rows)
 
     def wop_rows(self, rows: slice) -> np.ndarray:
         """Operator weights h**n |x_i - x_j|**(-n-s) of the nodes i in rows
         against every node j, zero on the diagonal, as an (r, N) array."""
-        return self._offset_rows(self.wop_offsets, rows)
+        return self._offset_rows("wop", rows)
 
     def quotients(self, v: np.ndarray, rows: slice) -> np.ndarray:
         """Pair quotients (v_i - v_j) |x_i - x_j|**(-s) for the nodes i in
@@ -197,7 +204,7 @@ class _Kernel:
         order."""
         for rows in _row_blocks(len(v), upper=True):
             q = v[rows, None] - v[None, rows.start :]
-            q *= self._offset_rows(self.qs_offsets, rows, rows.start)
+            q *= self._offset_rows("qs", rows, rows.start)
             # the block is freed before the caller works on its pairs
             q = q[self._upper(rows)]
             yield rows, q
@@ -206,30 +213,13 @@ class _Kernel:
         """Energy weights 2 h**(2n) |x_i - x_j|**(-n) of the pairs i < j with
         i in rows, in the order of the quotients ``upper_quotients`` yields
         for the same rows."""
-        return self._offset_rows(self.wen_offsets, rows, rows.start)[self._upper(rows)]
-
-    def _pair_vector(self, blocks: Iterable[np.ndarray]) -> np.ndarray:
-        """One pair-length vector in pair order, filled block by block."""
-        N = self.grid.node_count
-        out = np.empty(N * (N - 1) // 2)
-        at = 0
-        for vals in blocks:
-            out[at : at + len(vals)] = vals
-            at += len(vals)
-        return out
-
-    def pair_values(self, fn: Callable[..., np.ndarray], *vs: np.ndarray) -> np.ndarray:
-        """One pair-length vector in pair order: fn of the block quotients
-        of the pairs i < j of every function in vs."""
-        return self._pair_vector(
-            fn(*(q for _, q in blocks))
-            for blocks in zip(*(self.upper_quotients(v) for v in vs))
-        )
+        return self._offset_rows("wen", rows, rows.start)[self._upper(rows)]
 
     def parked_normals(self, v: np.ndarray, limit: int) -> list[np.ndarray]:
         """Normals of the pair quotients of v parked at |q| = 1 (to 1e-8),
         for the first ``limit`` such pairs i < j in pair order: the gradient
         of q_ij in v, qs_ij sign(q_ij) at node i and its negative at j."""
+        cells = self.grid.cells
         normals = []
         for rows, q in self.upper_quotients(v):
             hits = np.nonzero(np.abs(np.abs(q) - 1.0) <= 1e-8)[0][: limit - len(normals)]
@@ -238,7 +228,8 @@ class _Kernel:
                 a, c = np.nonzero(self._upper(rows))
                 for i, j, m in zip(rows.start + a[hits], rows.start + c[hits], hits):
                     nvec = np.zeros_like(v)
-                    scale = self.qs_rows(slice(i, i + 1))[0, j] * np.sign(q[m])
+                    at = np.unravel_index(i, cells) + np.unravel_index(j, cells)
+                    scale = self._views["qs"][at] * np.sign(q[m])
                     nvec[i], nvec[j] = scale, -scale
                     normals.append(nvec)
             if len(normals) == limit:
@@ -565,12 +556,14 @@ def pair_test_margin(
         lhs -= yf.p_minus * yf(np.abs(qw))
         return lhs
 
-    # one pair-length vector and one min over it: the sign a zero margin
-    # takes depends on the layout the min sees
-    margin = float(np.min(kern.pair_values(margins, uu, ww)))
+    margin = np.inf
+    for (_, qu), (_, qw) in zip(kern.upper_quotients(uu), kern.upper_quotients(ww)):
+        margin = np.minimum(margin, np.min(margins(qu, qw)))
     # exterior rays: quotients u_i / d**s and w_i / d**s
     ext = margins(uu[:, None] * kern.ray_scale, ww[:, None] * kern.ray_scale)
-    return min(margin, float(np.min(ext)))
+    # a zero margin takes its sign from the order the minimum sees: + 0.0
+    # makes it +0.0
+    return min(float(margin), float(np.min(ext))) + 0.0
 
 
 def holder_seminorm(u: DiscreteFunction, alpha: float) -> float:

@@ -647,8 +647,8 @@ def run_verify(
     mu: float = 0.4,
     n: int = 2,
     *,
-    draws: int = 25,
-    ladder_sizes: tuple[int, ...] = (32, 64, 128),
+    draws: int = 10,
+    ladder_sizes: tuple[int, ...] = (24, 48, 96),
     primary: str = "piecewise2_3",
     only: Optional[Iterable[str]] = None,
     families: Optional[dict[str, YoungFunction]] = None,

@@ -15,6 +15,13 @@ import fglap.cli
 from fglap.cli import ConfigError, main, normalize_config, run_command
 from fglap.solver import StagnationError
 from fglap.verify import INVARIANT_REGISTRY, run_verify
+from fglap.young import (
+    conjugate,
+    embedding_composition,
+    indicator_gauge,
+    sobolev_conjugate,
+    young_from_config,
+)
 from conftest import fresh_process_env
 
 
@@ -184,6 +191,16 @@ def test_stagnation_tol_is_unknown(tmp_path, capsys):
     assert "unknown config key 'stagnation_tol'" in capsys.readouterr().err
 
 
+def test_fast_is_unknown(tmp_path, capsys):
+    # verify always runs its 24/48/96 ladder with 10 draws
+    cfg = {"command": "verify", "fast": True}
+    with pytest.raises(ConfigError, match="unknown config key 'fast'"):
+        normalize_config(cfg)
+    code, _ = run_cli(tmp_path, cfg)
+    assert code == 2
+    assert "unknown config key 'fast'" in capsys.readouterr().err
+
+
 def test_bad_smoothness_exit_code_and_message(tmp_path, capsys):
     cfg = {
         "command": "solve",
@@ -249,6 +266,25 @@ def test_refine_flag_emits_table(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize(
+    "cfg, levels",
+    [
+        (_SOLVE_CFG, "-2"),
+        (dict(_SOLVE_CFG, command="degiorgi"), "2"),
+        (dict(_SOLVE_CFG, command="semilinear", semilinear={"family": "power", "p": 2.2}), "2"),
+        (_YOUNG_CFG, "2"),
+        ({"command": "verify"}, "2"),
+    ],
+    ids=["negative", "degiorgi", "semilinear", "young", "verify"],
+)
+def test_refine_misuse_exits_two(tmp_path, capsys, cfg, levels):
+    # a negative count, or a ladder asked of a command that runs none
+    code, out = run_cli(tmp_path, cfg, "--refine", levels)
+    assert code == 2
+    assert "--refine" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_young_table_format(tmp_path):
     cfg = {
         "command": "young",
@@ -270,6 +306,52 @@ def test_young_table_format(tmp_path):
     assert np.allclose(K, 16.0 * np.sqrt(t), rtol=1e-2)
     two = (out / "young_function.csv").read_text().splitlines()
     assert two[0] == "t,G"
+
+
+def _per_point_young_tables(cfg):
+    """The young command's two files with every function evaluated one
+    point at a time, each value written as repr(float)."""
+    yf = young_from_config(cfg["young"])
+    s, n = cfg["s"], cfg["n"]
+    gstar = sobolev_conjugate(yf, s, n)
+    comp = embedding_composition(yf, s, n, gstar)
+    conj = conjugate(yf)
+    ts = np.logspace(-3, 3, cfg["points"])
+    rows = [
+        [t, yf(t), yf.g(t), conj(t), gstar(t), comp(t), indicator_gauge(yf, s, n, t, gstar)]
+        for t in ts
+    ]
+
+    def text(header, rows):
+        lines = [header] + [",".join(repr(float(v)) for v in row) for row in rows]
+        return "\n".join(lines) + "\n"
+
+    return {
+        "young_table.csv": text("t,G,g,Gtilde,Gstar,H,K", rows),
+        "young_function.csv": text("t,G", [[t, yf(t)] for t in ts]),
+    }
+
+
+_POWER2 = {"family": "power", "p": 2}
+_SUMMIX = {"family": "sum", "parts": [_POWER2, {"family": "power", "p": 3}]}
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        _POWER2,
+        {"family": "piecewise_power", "p": 2, "q": 3},
+        {"family": "power_log", "p": 3},
+        {"family": "normalized", "base": _SUMMIX},
+        {"family": "max", "parts": [_POWER2, {"family": "power", "p": 2.5}]},
+    ],
+    ids=["power2", "piecewise2_3", "powerlog3", "summix", "max"],
+)
+def test_young_tables_are_bitwise_the_per_point_loop(record):
+    cfg = normalize_config(dict(_YOUNG_CFG, young=record, s=0.4, points=60))
+    artifacts, code = run_command(cfg)
+    assert code == 0
+    assert artifacts == _per_point_young_tables(cfg)
 
 
 def test_degiorgi_artifacts(tmp_path, monkeypatch):
@@ -436,7 +518,6 @@ def test_verify_skips_when_embedding_condition_fails(tmp_path):
         "n": 1,
         "mu": 1.0,
         "seed": 3,
-        "fast": True,
     }
     code, out = run_cli(tmp_path, cfg)
     assert code == 0

@@ -27,6 +27,8 @@ _LATTICE = {
     "ray_w",
     "_tri",
     "_reflect",
+    "_lattice_view",
+    "_views",
     "_offset_rows",
     "qs_rows",
     "wop_rows",
@@ -34,8 +36,6 @@ _LATTICE = {
     "_upper",
     "upper_quotients",
     "upper_weights",
-    "_pair_vector",
-    "pair_values",
     "_row_blocks",
     "_row_step",
     "_upper_mask",

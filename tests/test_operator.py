@@ -21,9 +21,11 @@ from fglap import (
     energy,
     energy_gradient,
     gagliardo_seminorm,
+    holder_seminorm,
     make_piecewise_power,
     make_power,
     make_power_log,
+    pair_test_margin,
     s_quotient,
     scale_young,
 )
@@ -557,24 +559,37 @@ def test_blocked_energy_is_bitwise_the_reference(families, family, bounds, cells
 def test_pair_passes_stay_within_block_memory(families):
     yf = families["piecewise2_3"]
     grid = Grid.build([0.0, 1.0], 2000)
-    # built directly so the session's kernel cache does not keep it
-    kern = _Kernel(grid, OperatorParams(s=0.4))
+    params = OperatorParams(s=0.4)
+    # the public passes read this cached kernel
+    kern = get_kernel(grid, params)
     v = np.random.default_rng(3).standard_normal(grid.node_count)
-    _hat_table(yf)  # the exterior table is built once per growth function
+    u = DiscreteFunction(grid, v)
+    w = u.with_values(np.maximum(v, 0.0))
     N = grid.node_count
+    # (pass, bound on its traced peak); one pair-length vector is 15.25 MiB
+    passes = {
+        "banded pass": (lambda: _operator_pass(v, yf, kern, bands=True), N * N * 8 // 2),
+        "blocked energy": (lambda: _energy_scaled(v, yf, kern, 1.0), 2 * 1024 * 1024),
+        "apply_operator": (lambda: apply_operator(u, yf, params), 4 * 1024 * 1024),
+        "energy": (lambda: energy(u, yf, params), 4 * 1024 * 1024),
+        "gagliardo_seminorm": (lambda: gagliardo_seminorm(u, yf, params), 4 * 1024 * 1024),
+        "pair_test_margin": (lambda: pair_test_margin(u, w, yf, params), 4 * 1024 * 1024),
+        "holder_seminorm": (lambda: holder_seminorm(u, 0.2), 4 * 1024 * 1024),
+    }
+    _hat_table(yf)  # the exterior table is built once per growth function
+    peaks = {}
     tracemalloc.start()
     try:
-        _operator_pass(v, yf, kern, bands=True)
-        _, pass_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        _energy_scaled(v, yf, kern, 1.0)
-        _, energy_peak = tracemalloc.get_traced_memory()
+        for name, (run, _) in passes.items():
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            run()
+            peaks[name] = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # half of one N x N float64 array; the energy holds no pair-length
-    # vector (one would take 15 MiB here)
-    assert pass_peak < N * N * 8 // 2
-    assert energy_peak < 2 * 1024 * 1024
+    # the banded pass stays below half of one N x N float64 array, and no
+    # other pass holds a pair-length vector
+    assert all(peaks[name] < bound for name, (_, bound) in passes.items()), peaks
 
 
 def test_passes_stay_within_block_memory_at_2d_32(families):
@@ -827,8 +842,9 @@ def test_pair_samples_are_bitwise_the_triu_form(bounds, cells):
     v = np.random.default_rng(13).standard_normal(grid.node_count)
     i0, i1 = np.triu_indices(grid.node_count, k=1)
     ref = np.abs(v[i0] - v[i1]) * dense_kernel(kern)[0][i0, i1]
-    # the pair values the test margin reduces, and the energy's weights
-    assert kern.pair_values(np.abs, v).tobytes() == ref.tobytes()
+    # the pair quotients the test margin reduces, and the energy's weights
+    chained = np.concatenate([np.abs(q) for _, q in kern.upper_quotients(v)])
+    assert chained.tobytes() == ref.tobytes()
     blocks = _row_blocks(grid.node_count, upper=True)
     weights = np.concatenate([kern.upper_weights(rows) for rows in blocks])
     assert weights.tobytes() == dense_energy_weights(kern)[i0, i1].tobytes()
