@@ -44,6 +44,13 @@ one chunk.  The pair test margin takes its minimum block by block; a zero
 margin, whose sign would depend on the order the minimum sees, is
 returned as +0.0.  No pass outside the Newton Hessian holds pair-length
 data.
+
+The operator pass forms |q| once per block and hands it to the density and
+to the slope bands, which call ``YoungFunction.derivative`` on their
+nonnegative arguments directly; the energy calls ``evaluate`` on |q|.  The
+even extension would take |.| of arguments that are already nonnegative,
+which moves no bit, and the branch-wise densities of ``fglap.young`` are
+bitwise their np.where forms, so none of this moves a bit either.
 """
 
 from __future__ import annotations
@@ -194,8 +201,13 @@ class _Kernel:
         return (v[rows, None] - v[None, :]) * self.qs_rows(rows)
 
     def _upper(self, rows: slice) -> np.ndarray:
-        """Mask of the pairs i < j in the rectangle rows x [rows.start, N)."""
-        return self._tri[: rows.stop - rows.start, : self.grid.node_count - rows.start]
+        """Mask of the pairs i < j in the rectangle rows x [rows.start, N):
+        a corner of the stored pass-block mask, formed anew for a longer
+        block."""
+        count, cols = rows.stop - rows.start, self.grid.node_count - rows.start
+        if count > len(self._tri):
+            return _upper_mask(count, cols)
+        return self._tri[:count, :cols]
 
     def upper_quotients(self, v: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
         """Yield (rows, q) per row block: q holds the quotients of the pairs
@@ -345,8 +357,11 @@ def _exterior_operator(u: np.ndarray, yf: YoungFunction, kern: _Kernel) -> np.nd
     return out
 
 
-def _slope_bands(yf: YoungFunction, t: np.ndarray, g_mid: np.ndarray):
-    """One-sided bounds for the odd density slope at t, given g(|t|).
+def _slope_bands(
+    yf: YoungFunction, t: np.ndarray, at: np.ndarray, g_mid: np.ndarray
+):
+    """One-sided bounds for the odd density slope at t, given at = |t| and
+    g_mid = g(|t|).
 
     Densities of piecewise families jump at isolated arguments; minimizers
     of the discrete energy park pair quotients exactly on those atoms, where
@@ -356,13 +371,12 @@ def _slope_bands(yf: YoungFunction, t: np.ndarray, g_mid: np.ndarray):
     """
     # window wide enough to catch quotients parked at a jump to within the
     # rounding noise of the stalled line search; it opens for every family,
-    # and its 1e-9 relative slack per pair is summed over a kernel row
-    side = np.abs(t)
-    side *= 1.0 - 1e-9
-    g_left = yf.g(side)
-    np.abs(t, out=side)
-    side *= 1.0 + 1e-9
-    g_right = yf.g(side)
+    # and its 1e-9 relative slack per pair is summed over a kernel row.
+    # Both sides are nonnegative, so the density takes them as they are
+    side = np.multiply(at, 1.0 - 1e-9)
+    g_left = yf.derivative(side)
+    np.multiply(at, 1.0 + 1e-9, out=side)
+    g_right = yf.derivative(side)
     lo = np.minimum(g_left, g_right, out=side)
     np.minimum(lo, g_mid, out=lo)
     hi = np.maximum(g_left, g_right, out=g_left)
@@ -399,15 +413,17 @@ def _operator_pass(
     band_hi = np.empty(N) if bands else None
     for rows in _row_blocks(N):
         q = kern.quotients(v, rows)
-        gq = yf.g(q)
+        aq = np.abs(q)
+        gq = yf.derivative(aq)
         w = kern.wop_rows(rows)
         if bands:
-            lo, hi = _slope_bands(yf, q, gq)
+            lo, hi = _slope_bands(yf, q, aq, gq)
             lo *= w
             hi *= w
             band_lo[rows] = np.sum(lo, axis=1)
             band_hi[rows] = np.sum(hi, axis=1)
-        terms = np.sign(q)
+        # |q| is spent: its buffer takes the signed terms
+        terms = np.sign(q, out=aq)
         terms *= gq
         terms *= w
         interior[rows] = np.sum(terms, axis=1)
@@ -443,7 +459,8 @@ def _energy_scaled(
     total = 0.0
     for rows, q in kern.upper_quotients(u):
         np.abs(q, out=q)
-        q /= lam
+        if lam != 1.0:
+            q /= lam
         vals = yf.evaluate(q)
         weights = kern.upper_weights(rows)
         at = 0

@@ -24,6 +24,14 @@ two-sided sandwiches for G and its inverse under argument scaling.
 All operations are pure functions of immutable inputs.  Objects that rely
 on tabulation build their tables eagerly at construction, so evaluation is
 read-only and safe to share between threads.
+
+The families whose density jumps at the knot t = 1 form each branch only
+where it applies: the lower branch over the whole array, then the upper
+one over the arguments past the knot.  numpy's array pow gives an element
+the same bits wherever it sits in its array, so this is bitwise the
+np.where form that computed both branches everywhere.  Python's scalar
+``**`` is not: it differs from the array pow in about 5% of arguments, so
+no scalar fast path may replace the array call.
 """
 
 from __future__ import annotations
@@ -225,12 +233,12 @@ def make_power_log(p: float) -> YoungFunction:
         pos = t > 0
         tp = t[pos]
         lg = np.log(tp)
-        # right-continuous at the kink t = 1
-        out[pos] = np.where(
-            tp >= 1.0,
-            tp ** (p - 1.0) * (p + 1.0 + p * lg),
-            tp ** (p - 1.0) * (p - 1.0 - p * lg),
-        )
+        # t**(p-1) times p - 1 - p log t below the kink t = 1 and
+        # p + 1 + p log t from it on: right-continuous there
+        fac = p - 1.0 - p * lg
+        up = tp >= 1.0
+        fac[up] = p + 1.0 + p * lg[up]
+        out[pos] = tp ** (p - 1.0) * fac
         return out
 
     if p > 2.0:
@@ -258,11 +266,21 @@ def make_piecewise_power(p: float, q: float) -> YoungFunction:
         raise YoungFunctionError(f"piecewise exponents must exceed 1, got ({p}, {q})")
     p, q = float(p), float(q)
 
+    # the lower branch over the whole array, then the upper one only past
+    # the knot: bitwise the np.where form (see the module docstring)
     def ev(t):
-        return np.where(t <= 1.0, t**p, t**q)
+        t = np.asarray(t)
+        out = np.asarray(t**p)
+        up = t > 1.0
+        out[up] = t[up] ** q
+        return out
 
     def dv(t):
-        return np.where(t < 1.0, p * t ** (p - 1.0), q * t ** (q - 1.0))
+        t = np.asarray(t)
+        out = np.asarray(p * t ** (p - 1.0))
+        up = t >= 1.0
+        out[up] = q * t[up] ** (q - 1.0)
+        return out
 
     def inv(y):
         return np.where(y <= 1.0, y ** (1.0 / p), y ** (1.0 / q))
@@ -1150,8 +1168,10 @@ def _modular_scale(values: np.ndarray, weight: float, yf: YoungFunction, mu: flo
     """
     absv = np.abs(values)
 
+    # absv / c holds no -0.0, so G takes it as it is: no even extension, and
+    # np.add.reduce is np.sum's pairwise sum without its dispatch
     def mod(c: float) -> float:
-        return weight * float(np.sum(yf(absv / c)))
+        return weight * float(np.add.reduce(yf.evaluate(absv / c)))
 
     r = mod(1.0) / mu
     if r == 0.0:

@@ -40,6 +40,7 @@ from fglap.operator import (
     _KERNEL_CAPACITY,
     _KERNELS,
     _row_blocks,
+    _row_step,
     get_kernel,
 )
 from fglap.young import _HATS, _hat_table
@@ -736,6 +737,23 @@ def test_kernel_accessors_are_bitwise_the_one_shot_build(bounds, cells):
     kern = _Kernel(grid, params)
     _assert_kernel_arrays(kern, *_reference_kernel_arrays(grid, params))
     _assert_kernel_rays(kern)
+
+
+def test_upper_weights_of_blocks_longer_than_a_pass_block():
+    # at 2d 64**2 a pass block has 8 rows; a 23-row block, which once raised
+    # IndexError on the stored 8-row mask, gets its pairs i < j in row-major
+    # order, bitwise the one-shot build's (node differences are exact here)
+    grid = Grid.build([[0.0, 1.0], [0.0, 1.0]], (64, 64))
+    kern = _Kernel(grid, OperatorParams(s=0.4))
+    N, n, h = grid.node_count, grid.dim, grid.h
+    assert _row_step(N) == 8
+    for start in (0, 1000, N - 23):
+        rows = slice(start, start + 23)
+        diff = grid.nodes[rows, None, :] - grid.nodes[None, start:, :]
+        D = np.sqrt(np.sum(diff * diff, axis=2))
+        upper = np.arange(N - start)[None, :] > np.arange(23)[:, None]
+        want = 2.0 * h ** (2 * n) * D[upper] ** (-n)
+        assert kern.upper_weights(rows).tobytes() == want.tobytes()
 
 
 def _reference_offset_arrays(grid, params):

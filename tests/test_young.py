@@ -11,6 +11,8 @@ from scipy.integrate import quad
 
 from fglap import (
     EmbeddingConditionError,
+    Grid,
+    OperatorParams,
     WeightedSamples,
     YoungFunction,
     YoungFunctionError,
@@ -32,7 +34,14 @@ from fglap import (
     young_from_config,
 )
 from fglap import young
-from fglap.young import _bisect_increasing, check_young_wellformed, luxemburg_scale
+from fglap.operator import _row_blocks, get_kernel
+from fglap.solver import _bump
+from fglap.young import (
+    _bisect_increasing,
+    _modular_scale,
+    check_young_wellformed,
+    luxemburg_scale,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +112,93 @@ def test_piecewise_power_values_and_continuity():
     assert left == pytest.approx(1.0, abs=1e-11)
     assert right == pytest.approx(1.0, abs=1e-11)
     assert (G.p_minus, G.p_plus) == (2.0, 3.0)
+
+
+def _where_piecewise_power(p, q):
+    """G and g of piecewise_power in the np.where form the branch-wise
+    evaluation replaced: both branches at every argument."""
+
+    def ev(t):
+        return np.where(t <= 1.0, t**p, t**q)
+
+    def dv(t):
+        return np.where(t < 1.0, p * t ** (p - 1.0), q * t ** (q - 1.0))
+
+    return ev, dv
+
+
+def _where_power_log_dv(p):
+    """g of power_log in the np.where form the branch-wise evaluation
+    replaced."""
+
+    def dv(t):
+        out = np.zeros_like(t)
+        pos = t > 0
+        tp = t[pos]
+        lg = np.log(tp)
+        out[pos] = np.where(
+            tp >= 1.0,
+            tp ** (p - 1.0) * (p + 1.0 + p * lg),
+            tp ** (p - 1.0) * (p - 1.0 - p * lg),
+        )
+        return out
+
+    return dv
+
+
+@pytest.fixture(scope="module")
+def knot_inputs():
+    """0, the knot 1.0 and its float neighbours, 1e-300, 1e200, inf and NaN
+    as 0-d, 1-d and 2-d arrays, and the |quotients| of the first row block
+    of the degiorgi command's eigen solve (piecewise_power(2,3), 512 cells,
+    s = 0.4, mu = 0.4) at its starting iterate."""
+    points = [0.0, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0),
+              1e-300, 1e200, np.inf, np.nan]
+    flat = np.array(points)
+    grid = Grid.build([0.0, 1.0], 512)
+    u = _bump(grid)
+    u /= _modular_scale(u, grid.node_weight, make_piecewise_power(2.0, 3.0), 0.4)
+    kern = get_kernel(grid, OperatorParams(s=0.4))
+    block = np.abs(kern.quotients(u, _row_blocks(grid.node_count)[0]))
+    # the block holds quotients on both sides of the knot
+    assert 0 < np.count_nonzero(block > 1.0) < block.size // 2
+    return [np.array(x) for x in points] + [flat, flat.reshape(2, 4), block]
+
+
+def _same_call(fn, ref, t):
+    """fn(t) has ref(t)'s type, dtype, shape and bytes, and raises no
+    floating-point warning that ref(t) does not."""
+    with warnings.catch_warnings(record=True) as got_warn:
+        warnings.simplefilter("always")
+        got = fn(t)
+    with warnings.catch_warnings(record=True) as want_warn:
+        warnings.simplefilter("always")
+        want = ref(t)
+    assert type(got) is type(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes(), t
+    assert {str(w.message) for w in got_warn} <= {str(w.message) for w in want_warn}
+
+
+@pytest.mark.parametrize("p, q", [(2.0, 3.0), (2.5, 3.0), (1.5, 4.0)])
+def test_piecewise_power_is_bitwise_the_where_form(knot_inputs, p, q):
+    yf = make_piecewise_power(p, q)
+    ev, dv = _where_piecewise_power(p, q)
+    for t in knot_inputs:
+        _same_call(yf.evaluate, ev, t)
+        _same_call(yf.derivative, dv, t)
+    # right-continuous at the knot: g(1) is the upper branch's q
+    assert yf.derivative(np.array([1.0]))[0] == q
+
+
+# power_log(1.5) is refused at construction (sampled elasticity 0.504);
+# p = 2, 2.5 and 3 take t**(p-1) through exponents 1, 1.5 and 2
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
+def test_power_log_density_is_bitwise_the_where_form(knot_inputs, p):
+    yf = make_power_log(p)
+    for t in knot_inputs:
+        _same_call(yf.derivative, _where_power_log_dv(p), t)
+    assert yf.derivative(np.array([1.0]))[0] == p + 1.0
 
 
 def test_wellformed_margins_on_roster(families):
