@@ -459,8 +459,7 @@ def _energy_scaled(
     total = 0.0
     for rows, q in kern.upper_quotients(u):
         np.abs(q, out=q)
-        if lam != 1.0:
-            q /= lam
+        q /= lam
         vals = yf.evaluate(q)
         weights = kern.upper_weights(rows)
         at = 0

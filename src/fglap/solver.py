@@ -19,20 +19,6 @@ descent in the same core, and an autonomous right-hand side f(u) by damped
 Picard iteration with a scalar ray rescaling each sweep, falling back on
 non-convergence reporting.
 
-The stationarity measure of a family whose density may jump searches a
-multiplier by ternary steps over a bracket.  At a few fixed steps it drops
-the nodes that cannot set the sup of the per-node distances anywhere on
-the current bracket, and this is exact.  Each of the two parts of a node's
-distance is monotone in the multiplier, in IEEE rounding too, since a
-product with a fixed factor, a subtraction from a fixed term, a negation
-and max(., 0) all round monotonically.  So its values at the bracket ends
-bound it on the bracket, and rounded addition keeps the bounds.  A node
-whose upper bound lies below another node's lower bound never sets the
-sup.  The bracket ends stay within a factor 2 of each other, so their
-difference is exact and every later trial multiplier lies between them.
-A max is exact and a kept node's distance takes the same float
-operations, so each comparison, and so the search, is the full one's.
-
 The truncation diagnostic tracks the modular masses a_k of
 w_k = (u - (1 - 2**-k))_+, verifies the level-set inclusions and the
 pointwise domination identity between consecutive truncations, and fits the
@@ -182,53 +168,6 @@ def _bump(grid: Grid) -> np.ndarray:
     return vals
 
 
-# ternary steps of the multiplier search of the subdifferential residual,
-# the steps before which it drops the nodes that cannot set its sup, and the
-# kept-set size up to which it evaluates them with Python floats
-_LAM_STEPS = 80
-_PRUNE_AT = frozenset((0, 8, 16, 24, 32, 48))
-_FEW_NODES = 8
-
-
-def _node_dists(nodes, lms: np.ndarray) -> np.ndarray:
-    """Per-node distances from 0 to the defect interval at each multiplier
-    in lms, one row per multiplier; nodes = (a_lo, g_first, a_hi, g_second)."""
-    a_lo, g_first, a_hi, g_second = nodes
-    r_lo = a_lo - lms[:, None] * g_first
-    r_hi = a_hi - lms[:, None] * g_second
-    return np.maximum(r_lo, 0.0) + np.maximum(-r_hi, 0.0)
-
-
-def _contenders(nodes, lo: float, hi: float):
-    """The nodes whose distance may set the sup somewhere on the bracket
-    between lo and hi: those whose upper bound there, from the parts of
-    their distance at the bracket ends, reaches the largest lower bound.
-    None when a bound is not finite."""
-    a_lo, g_first, a_hi, g_second = nodes
-    ends = np.array([lo, hi])
-    below = np.maximum(a_lo - ends[:, None] * g_first, 0.0)
-    above = np.maximum(-(a_hi - ends[:, None] * g_second), 0.0)
-    upper = np.max(below, axis=0) + np.max(above, axis=0)
-    if not np.all(np.isfinite(upper)):
-        return None
-    lower = np.min(below, axis=0) + np.min(above, axis=0)
-    keep = upper >= np.max(lower)
-    return tuple(x[keep] for x in nodes)
-
-
-def _few_sup(few: list, m: float) -> float:
-    """The sup of ``_node_dists`` at m over a few nodes given as tuples of
-    Python floats: the same IEEE operations, up to the sign of a zero."""
-    top = 0.0
-    for a_lo, g_first, a_hi, g_second in few:
-        below = a_lo - m * g_first
-        above = -(a_hi - m * g_second)
-        gap = (below if below > 0.0 else 0.0) + (above if above > 0.0 else 0.0)
-        if gap > top:
-            top = gap
-    return top
-
-
 def _subdifferential_residual(
     yf: YoungFunction, op: _Pass, v: np.ndarray, lam: float
 ) -> float:
@@ -249,13 +188,6 @@ def _subdifferential_residual(
     selection set, so the returned value is a certified lower bound for the
     true stationarity defect; it is the quantity that can actually vanish
     when a minimizer parks quotients on density-jump atoms.
-
-    A few nodes decide each ternary step, so before the steps in
-    ``_PRUNE_AT`` the search keeps only the nodes that can set the sup on
-    the current bracket (``_contenders``; the module docstring says why this
-    is exact), evaluated with numpy or, for at most ``_FEW_NODES`` of them,
-    as Python floats.  A bound that is not finite ends the pruning, and the
-    returned value is the sup over every node at the final midpoint.
     """
     a_lo = 2.0 * (op.band_lo + op.exterior)
     a_hi = 2.0 * (op.band_hi + op.exterior)
@@ -263,31 +195,24 @@ def _subdifferential_residual(
     g_lo, g_hi = _slope_bands(yf, v, av, yf.derivative(av))
     # every multiplier searched lies in [0.9 lam, 1.1 lam], so has lam's sign
     g_first, g_second = (g_hi, g_lo) if lam >= 0 else (g_lo, g_hi)
-    every = (a_lo, g_first, a_hi, g_second)
-    kept, few = every, None
-    pruning = True
+
+    def sup_dist(lms: np.ndarray) -> np.ndarray:
+        """The sup of per-node distances at each multiplier in lms."""
+        r_lo = a_lo - lms[:, None] * g_first
+        r_hi = a_hi - lms[:, None] * g_second
+        return np.max(np.maximum(r_lo, 0.0) + np.maximum(-r_hi, 0.0), axis=1)
 
     # the sup of per-node distances is convex in the multiplier
     lo, hi = 0.9 * lam, 1.1 * lam
-    for step in range(_LAM_STEPS):
-        if pruning and step in _PRUNE_AT:
-            kept = _contenders(kept, lo, hi)
-            if kept is None:
-                kept, pruning = every, False
-            elif len(kept[0]) <= _FEW_NODES:
-                few = list(zip(*(x.tolist() for x in kept)))
-                pruning = False
+    for _ in range(80):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
-        if few is not None:
-            d1, d2 = _few_sup(few, m1), _few_sup(few, m2)
-        else:
-            d1, d2 = _node_dists(kept, np.array([m1, m2])).max(axis=1)
+        d1, d2 = sup_dist(np.array([m1, m2]))
         if d1 <= d2:
             hi = m2
         else:
             lo = m1
-    return float(_node_dists(every, np.array([0.5 * (lo + hi)])).max(axis=1)[0])
+    return float(sup_dist(np.array([0.5 * (lo + hi)]))[0])
 
 
 class _Probe(NamedTuple):
