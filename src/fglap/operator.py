@@ -43,7 +43,9 @@ product each, which moves its last bits once there are more pairs than
 one chunk.  The pair test margin takes its minimum block by block; a zero
 margin, whose sign would depend on the order the minimum sees, is
 returned as +0.0.  No pass outside the Newton Hessian holds pair-length
-data.
+data.  The kernel also applies the eigen descent's spectral preconditioner,
+the inverse spectral fractional Laplacian of the lattice, through one real
+FFT of an odd extension and a spectrum of O(N) numbers formed on first use.
 
 The operator pass forms |q| once per block and hands it to the density and
 to the slope bands, which call ``YoungFunction.derivative`` on their
@@ -152,6 +154,32 @@ class _Kernel:
         else:
             ray_dist, self.ray_w = _angular_rays(grid)
         self.ray_scale = ray_dist ** (-s)
+        # the preconditioner's spectrum, formed on its first use
+        self._spectrum: Optional[np.ndarray] = None
+
+    def precondition(self, v: np.ndarray) -> np.ndarray:
+        """P v for the spectral preconditioner P = S diag(sigma) S^T of the
+        lattice: S is the orthonormal DST-II along each axis, whose columns
+        are the eigenvectors of the cell-centred Dirichlet Laplacian, and
+        sigma its eigenvalues sum_a (4 / h**2) sin(pi k_a / (2 M_a))**2,
+        k_a = 1 .. M_a, raised to the power -s: the grid's spectral
+        fractional Laplacian, inverted.
+
+        The odd extension of v to length 2 M_a along every axis spans exactly
+        these modes, and on it the Dirichlet Laplacian is the periodic one,
+        so P v is one real FFT of the extension, scaled by sigma and
+        transformed back, cut to the lattice.  P is symmetric positive
+        definite and holds O(N) numbers; ``numpy.fft`` is loaded on the
+        first call."""
+        cells = self.grid.cells
+        if self._spectrum is None:
+            self._spectrum = _fractional_spectrum(cells, self.grid.h, self.params.s)
+        z = v.reshape(cells)
+        axes = tuple(range(len(cells)))
+        for axis in axes:
+            z = np.concatenate([z, -np.flip(z, axis)], axis=axis)
+        out = np.fft.irfftn(np.fft.rfftn(z) * self._spectrum, z.shape, axes)
+        return out[tuple(slice(0, m) for m in cells)].ravel()
 
     def _reflect(self, values: np.ndarray) -> np.ndarray:
         """Offset table of values[k - 1] at the offset from node 0 to node
@@ -279,6 +307,19 @@ def _distances(pts: np.ndarray, rows: slice, first: int = 0) -> np.ndarray:
     """Distances |x_i - x_j| from the nodes i in rows to the nodes j >= first."""
     diff = pts[rows, None, :] - pts[None, first:, :]
     return np.sqrt(np.sum(diff * diff, axis=2))
+
+
+def _fractional_spectrum(cells: tuple, h: float, s: float) -> np.ndarray:
+    """sigma on the real-FFT frequencies of the odd extension of a lattice
+    with the given cells: (sum_a (4 / h**2) sin(pi k_a / (2 M_a))**2)**(-s),
+    and zero where some k_a is 0, a mode no odd extension holds."""
+    total = np.zeros(())
+    for axis, m in enumerate(cells):
+        k = np.arange(m + 1 if axis == len(cells) - 1 else 2 * m)
+        lam = (4.0 / h**2) * np.sin(np.pi * k / (2 * m)) ** 2
+        lam[0] = np.inf  # so that sigma is 0 there
+        total = total[..., None] + lam
+    return total ** (-s)
 
 
 def _angular_rays(grid: Grid):

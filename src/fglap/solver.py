@@ -6,7 +6,21 @@ a damped Newton polish once the line search stalls at the floating-point
 floor.  The eigen solver minimizes the nonlocal modular energy over the
 modular sphere { int G(|u|) = mu }, projecting by renormalization onto the
 sphere and, for a family whose density may jump, sliding along
-density-jump creases when plain descent is blocked.  The reported
+density-jump creases when plain descent is blocked.
+
+For a family free of atoms the eigen probe preconditions its direction
+with the grid's spectral fractional Laplacian P (``_Kernel.precondition``):
+d = P A2 - (<P A2, g> / <P g, g>) P g, tangent to the sphere's normal g,
+with the natural step scaled by |d_plain| / |d| and the Armijo slope
+h**n grad E . d; the plain direction's slope h**n d . d is the same
+quantity, so the plain paths keep their bits.  The iteration count of the
+plain gradient grows with N at s >= 1/2, and P takes the operator's
+stiffness out of it.  Where the energy no longer resolves a step, such a
+solve backtracks the same step on decrease of the measured defect, along d
+and then along the plain direction, before it falls back on the dense
+Newton polish.  Jump families keep the plain gradient: a quotient parked
+on an atom stalls the preconditioned direction.  The fixed-source descent
+keeps it too, so the semilinear solve moves no bit.  The reported
 eigenvalue is the ratio of the weak pairing <A u, u> (the double sum of
 g(quotient) against quotients of u) to the zero-order pairing sum
 h**n g(u) u, so at convergence the discrete Euler-Lagrange
@@ -224,6 +238,8 @@ class _Probe(NamedTuple):
     ``natural`` is the step taken when no Barzilai-Borwein step is
     available.  ``normal`` is the normal of the constraint surface and
     ``lam`` its multiplier, both None for an unconstrained objective.
+    ``plain`` is the unpreconditioned direction when ``direction`` is a
+    preconditioned one, else None.
     """
 
     res: float
@@ -233,6 +249,7 @@ class _Probe(NamedTuple):
     natural: float
     normal: Optional[np.ndarray] = None
     lam: Optional[float] = None
+    plain: Optional[np.ndarray] = None
 
 
 # maps a candidate onto the feasible set; None when it cannot be projected
@@ -309,9 +326,12 @@ def _descend(
     trial steps along the probe's descent direction (the natural step when
     the curvature estimate is not positive), halved until the projected
     candidate passes the Armijo test.  When no step clears the
-    floating-point floor of the objective, ``slide`` may offer another
-    direction from the natural step; otherwise a damped Newton polish ends
-    the descent.  Stops once the measured defect reaches opts.tol.
+    floating-point floor of the objective, a probe with a ``plain``
+    direction first takes the defect tail: the same step, halved along
+    both directions, accepted on decrease of the measured defect.  Failing
+    that, ``slide`` may offer another direction from the natural step;
+    otherwise a damped Newton polish ends the descent.  Stops once the
+    measured defect reaches opts.tol.
 
     Returns (u, probe, iterations, history, stall): the iterate with the
     smallest measured defect and its probe, the iteration count, the
@@ -320,8 +340,7 @@ def _descend(
     """
     hn = grid.node_weight
 
-    def line_search(v, J0, direction, step, floor):
-        slope = hn * float(np.dot(direction, direction))
+    def line_search(v, J0, direction, slope, step, floor):
         for _ in range(_LS_MAX):
             cand = project(v - step * direction)
             if cand is not None:
@@ -329,6 +348,25 @@ def _descend(
                 if Jc <= J0 - _ARMIJO * step * slope:
                     return (cand, Jc) if step * slope > floor else None
             step *= 0.5
+        return None
+
+    def defect_tail(v, p, step):
+        """The first candidate whose measured defect is below p's, halving
+        step along the probe's direction and then along its plain one until
+        the step no longer moves v; returned with its probe and whether the
+        plain direction gave it."""
+        for direction in (p.direction, p.plain):
+            t = step
+            for _ in range(_LS_MAX):
+                moved = v - t * direction
+                if np.array_equal(moved, v):
+                    break
+                cand = project(moved)
+                if cand is not None:
+                    pc = probe(cand)
+                    if pc.res < p.res:
+                        return cand, pc, direction is p.plain
+                t *= 0.5
         return None
 
     J = objective(u)
@@ -351,12 +389,24 @@ def _descend(
             step = float(np.dot(ds, ds)) / denom if denom > 0 else p.natural
         step = float(np.clip(step, 1e-14, 1e14))
         floor = 1e-15 * max(1.0, abs(J))
-        found = line_search(u, J, p.direction, step, floor)
+        if p.plain is None:
+            slope = hn * float(np.dot(p.direction, p.direction))
+        else:
+            slope = hn * float(np.dot(p.grad, p.direction))
+        found = line_search(u, J, p.direction, slope, step, floor)
         prev = (u, p.direction)
+        probed = None
+        if found is None and p.plain is not None:
+            tail = defect_tail(u, p, step)
+            if tail is not None:
+                cand, probed, plain = tail
+                found = (cand, objective(cand))
+                if plain:
+                    prev = None  # the direction family changed
         if found is None:
             d2 = slide(u, p) if slide is not None else None
             if d2 is not None:
-                found = line_search(u, J, d2, p.natural, floor)
+                found = line_search(u, J, d2, hn * float(np.dot(d2, d2)), p.natural, floor)
                 prev = None  # the direction family changed
             if found is None:
                 polished = _newton_polish(grid, yf, params, u, p, probe, project, opts.tol)
@@ -367,7 +417,7 @@ def _descend(
                 break
         u, J = found
         history.append(J)
-        p = probe(u)
+        p = probe(u) if probed is None else probed
     return best[0], best[1], it, history, stall
 
 
@@ -397,12 +447,13 @@ def solve_eigen(
     """First eigenpair of the modular-constrained energy minimization.
 
     Runs the descent core on { int G(|u|) = mu }: the energy is the
-    objective, renormalization onto the sphere the projection, and, for a
-    family that may have atoms, the iterate slides along active density-jump
-    creases when plain descent is blocked.  Convergence is reached when the
-    measured stationarity defect, as :class:`EigenResult` describes its
-    ``residual``, drops below opts.tol; a stalled descent raises
-    :class:`StagnationError`.
+    objective and renormalization onto the sphere the projection.  A family
+    free of atoms descends along the spectrally preconditioned direction;
+    for a family that may have atoms, the iterate takes the plain gradient
+    and slides along active density-jump creases when it is blocked.
+    Convergence is reached when the measured stationarity defect, as
+    :class:`EigenResult` describes its ``residual``, drops below opts.tol;
+    a stalled descent raises :class:`StagnationError`.
     """
     if not mu > 0:
         raise ValueError("modular level mu must be positive")
@@ -441,7 +492,14 @@ def solve_eigen(
         # descent direction: gradient projected along g(u), the tangent
         # direction of the modular sphere (coincides with r for powers)
         d = A2 - (float(np.dot(A2, gv)) / float(np.dot(gv, gv))) * gv
-        return _Probe(res, r, A2, d, 1.0 / max(abs(lam), 1e-12), gv, lam)
+        natural = 1.0 / max(abs(lam), 1e-12)
+        if may_jump:
+            return _Probe(res, r, A2, d, natural, gv, lam)
+        # the preconditioned gradient, made tangent to the sphere along P g
+        PA2, Pg = kern.precondition(A2), kern.precondition(gv)
+        dp = PA2 - (float(np.dot(PA2, gv)) / float(np.dot(Pg, gv))) * Pg
+        natural *= float(np.linalg.norm(d)) / float(np.linalg.norm(dp))
+        return _Probe(res, r, A2, dp, natural, gv, lam, d)
 
     u, p, it, history, stall = _descend(
         grid, yf, params, u, objective, project, probe, opts,

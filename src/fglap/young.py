@@ -205,20 +205,27 @@ def make_power(p: float) -> YoungFunction:
     return YoungFunction(ev, dv, p, p, f"power({p:g})", inv, atoms=())
 
 
+# least exponent for which power_log's G is convex: the larger root of
+# p**2 - 3p + 1
+_POWER_LOG_MIN = (3.0 + math.sqrt(5.0)) / 2.0
+
+
 def make_power_log(p: float) -> YoungFunction:
-    """G(t) = t**p * (1 + |log t|), G(0) = 0.
+    """G(t) = t**p * (1 + |log t|), G(0) = 0, for p >= (3 + sqrt(5)) / 2.
 
     The elasticity t*g/G equals (p - 1 + p*L)/(1 + L) below t = 1 (with
     L = -log t) and (p + 1 + p*L)/(1 + L) above, so its range is the open
-    interval (p-1, p+1).  For p > 2 these limits are recorded as the exact
-    index bounds; for p in (1, 2] the infimum is <= 1 and the bounds are
-    recorded from a dense log grid over [1e-6, 1e6] instead, which keeps the
-    sampled elasticity inside (1, inf).  Construction fails if the sampled
-    elasticity leaves (1, inf).  The function is convex for
-    p >= (3 + sqrt(5)) / 2; below that g dips on a short interval left of 1.
+    interval (p-1, p+1); these limits are recorded as the index bounds.
+    Left of t = 1 the slope of g has the sign of (p - 1)**2 - p + (p - 1) p L,
+    least at L = 0, so G is convex exactly when p**2 - 3p + 1 >= 0, that is
+    p >= (3 + sqrt(5)) / 2.  A smaller exponent, whose g dips on an
+    interval left of 1, is not a Young function and is refused.
     """
-    if not p > 1.0:
-        raise YoungFunctionError(f"power_log exponent must exceed 1, got {p}")
+    if not p >= _POWER_LOG_MIN:
+        raise YoungFunctionError(
+            f"power_log exponent 'p' must be at least (3 + sqrt(5))/2 = "
+            f"{_POWER_LOG_MIN:.6g} for G to be convex, got {p}"
+        )
     p = float(p)
 
     def ev(t):
@@ -241,29 +248,22 @@ def make_power_log(p: float) -> YoungFunction:
         out[pos] = tp ** (p - 1.0) * fac
         return out
 
-    if p > 2.0:
-        p_minus, p_plus = p - 1.0, p + 1.0
-    else:
-        grid = np.logspace(-6, 6, 12 * 512 + 1)
-        ratios = grid * dv(grid) / ev(grid)
-        p_minus = float(np.min(ratios))
-        p_plus = float(np.max(ratios))
-        if p_minus <= 1.0:
-            raise YoungFunctionError(
-                f"power_log({p:g}): sampled elasticity leaves (1, inf); "
-                f"minimum {p_minus:.6g}"
-            )
-    return YoungFunction(ev, dv, p_minus, p_plus, f"power_log({p:g})", atoms=(1.0,))
+    return YoungFunction(ev, dv, p - 1.0, p + 1.0, f"power_log({p:g})", atoms=(1.0,))
 
 
 def make_piecewise_power(p: float, q: float) -> YoungFunction:
     """G(t) = t**p on [0, 1] and t**q beyond, continuous with G(1) = 1.
 
-    Index bounds are (min(p, q), max(p, q)).  Convexity requires p <= q;
-    the density is taken right-continuous at the junction.
+    Index bounds are (p, q).  Convexity requires p <= q: g jumps from p to
+    q at t = 1, down when p > q, so such exponents are refused.  The density
+    is taken right-continuous at the junction.
     """
     if not (p > 1.0 and q > 1.0):
         raise YoungFunctionError(f"piecewise exponents must exceed 1, got ({p}, {q})")
+    if not p <= q:
+        raise YoungFunctionError(
+            f"piecewise_power needs 'p' <= 'q' for G to be convex, got p = {p}, q = {q}"
+        )
     p, q = float(p), float(q)
 
     # the lower branch over the whole array, then the upper one only past
@@ -285,9 +285,7 @@ def make_piecewise_power(p: float, q: float) -> YoungFunction:
     def inv(y):
         return np.where(y <= 1.0, y ** (1.0 / p), y ** (1.0 / q))
 
-    return YoungFunction(
-        ev, dv, min(p, q), max(p, q), f"piecewise_power({p:g},{q:g})", inv, atoms=(1.0,)
-    )
+    return YoungFunction(ev, dv, p, q, f"piecewise_power({p:g},{q:g})", inv, atoms=(1.0,))
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,21 @@ def test_solve_artifacts_and_determinism(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "record, key",
+    [
+        # g would jump down at t = 1; the solve stalled at iteration 116
+        ({"family": "piecewise_power", "p": 3, "q": 2}, "q"),
+        # g dips left of t = 1 below p = (3 + sqrt(5))/2
+        ({"family": "power_log", "p": 2}, "p"),
+    ],
+)
+def test_nonconvex_growth_record_exits_two(tmp_path, capsys, record, key):
+    code, _ = run_cli(tmp_path, dict(_SOLVE_CFG, young=record))
+    assert code == 2
+    assert repr(key) in capsys.readouterr().err
+
+
 def test_refine_flag_emits_table(tmp_path):
     cfg = {
         "command": "solve",

@@ -40,10 +40,16 @@ _LATTICE = {
     "_row_step",
     "_upper_mask",
     "_distances",
+    # the spectral preconditioner's table and transforms
+    "_spectrum",
+    "_fractional_spectrum",
+    "fft",
+    "rfftn",
+    "irfftn",
 }
-# what other modules may read of a kernel: its grid and parameters, and the
-# crease normals the solver slides along
-_KERNEL_SURFACE = {"grid", "params", "parked_normals"}
+# what other modules may read of a kernel: its grid and parameters, the
+# crease normals the solver slides along and the preconditioner it applies
+_KERNEL_SURFACE = {"grid", "params", "parked_normals", "precondition"}
 # the growth-function layer: the log-log tables and the replayed root finds
 _TABLES = {"_KNOTS", "_GUESS_MIN", "_panel_integral", "_LogLogTable", "_replay_bisection"}
 

@@ -905,6 +905,38 @@ def test_kernel_holds_no_dense_pair_array():
     assert _kernel_bytes(kern) <= 1.2 * 1024 * 1024
 
 
+def _dst_ii(m):
+    """Orthonormal DST-II basis on m cells as columns, and the cell-centred
+    Dirichlet Laplacian's eigenvalues on unit spacing, k = 1 .. m."""
+    k = np.arange(1, m + 1)
+    S = np.sqrt(2.0 / m) * np.sin(np.pi * np.outer(np.arange(m) + 0.5, k) / m)
+    S[:, -1] /= np.sqrt(2.0)
+    return S, 4.0 * np.sin(np.pi * k / (2 * m)) ** 2
+
+
+@pytest.mark.parametrize(
+    "bounds, cells",
+    [([0.0, 1.0], 5), ([0.0, 1.0], 8), ([0.0, 1.0], 33), ([[0.0, 1.0], [0.0, 7 / 6]], (6, 7))],
+)
+def test_preconditioner_is_the_dense_spectral_form(bounds, cells):
+    grid = Grid.build(bounds, cells)
+    s = 0.4
+    kern = _Kernel(grid, OperatorParams(s=s))
+    S, lam = np.ones((1, 1)), np.zeros(1)
+    for m in grid.cells:
+        Sa, la = _dst_ii(m)
+        S = np.kron(S, Sa)
+        lam = (lam[:, None] + la[None, :] / grid.h**2).ravel()
+    dense = S @ np.diag(lam ** (-s)) @ S.T
+    P = np.column_stack([kern.precondition(e) for e in np.eye(grid.node_count)])
+    assert np.max(np.abs(P - dense)) <= 1e-13 * np.max(np.abs(dense))
+    assert np.max(np.abs(P - P.T)) <= 1e-13 * np.max(np.abs(P))
+    assert np.linalg.eigvalsh(0.5 * (P + P.T)).min() > 0.0
+    # it keeps O(N) numbers: one spectrum on the real-FFT half of the
+    # odd extension
+    assert kern._spectrum.size <= 2 * (grid.node_count + max(grid.cells))
+
+
 def test_kernel_cache_keeps_the_most_recently_used():
     params = OperatorParams(s=0.4)
     grids = [Grid.build([0.0, 1.0], 5 + k) for k in range(_KERNEL_CAPACITY + 1)]

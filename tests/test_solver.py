@@ -37,6 +37,7 @@ from fglap import (
 )
 from fglap.operator import (
     _KERNELS,
+    _Kernel,
     _angular_rays,
     _energy_hessian,
     _exterior_operator,
@@ -337,9 +338,10 @@ def test_eigen_2d_pinned(families):
         Grid.build([[0.0, 1.0], [0.0, 1.0]], (12, 12)), families["summix"],
         OperatorParams(s=0.4), 0.4, SolveOptions(tol=2e-6, max_iter=3000),
     )
-    assert res.iterations == 15
-    assert res.lam == pytest.approx(37.64557000054104, rel=1e-12)
-    assert res.residual == pytest.approx(5.342322193513382e-07, rel=1e-12)
+    # the preconditioned descent with its defect tail, no Newton polish
+    assert res.iterations == 11
+    assert res.lam == pytest.approx(37.64557000087922, rel=1e-12)
+    assert res.residual == pytest.approx(2.874902023108916e-07, rel=1e-12)
 
 
 def test_atom_free_families_skip_the_slope_bands(families, monkeypatch):
@@ -373,6 +375,60 @@ def test_atom_free_residual_is_the_plain_defect(families, name, cells):
     res = solve_eigen(Grid.build([0.0, 1.0], cells), yf, params, 1.0, SolveOptions(tol=1e-13))
     defect = 2.0 * apply_operator(res.u, yf, params) - res.lam * yf.slope_odd(res.u.values)
     assert 0.0 < res.residual == np.max(np.abs(defect))
+
+
+def test_jump_families_and_semilinear_solves_skip_the_preconditioner(families, monkeypatch):
+    # the preconditioned direction serves the atom-free eigen probe only:
+    # a jump family and both source-solve paths keep the plain gradient
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(_Kernel, "precondition", reached)
+    grid = Grid.build([0.0, 1.0], 32)
+    params = OperatorParams(s=0.4)
+    res = solve_eigen(
+        grid, families["piecewise2_3"], params, 0.4, SolveOptions(tol=2e-6, max_iter=3000)
+    )
+    assert res.residual <= 2e-6
+    G = make_power(2.0)
+    solve_semilinear(grid, G, make_power(2.2), params, SolveOptions(tol=1e-6))
+    solve_semilinear(grid, G, None, params, SolveOptions(tol=1e-8), source=np.ones(32))
+    with pytest.raises(Reached):
+        solve_eigen(grid, families["summix"], params, 0.4, SolveOptions(tol=2e-6))
+
+
+@pytest.mark.parametrize(
+    "p, max_iterations, lam",
+    [(2.0, 30, 28.814750223033435), (3.5, 160, 46.972787882582146)],
+)
+def test_preconditioned_descent_iterations_at_512_cells(p, max_iterations, lam):
+    # the plain gradient took 334 and 640 iterations here; the values of
+    # lambda are those of its solves
+    res = solve_eigen(
+        Grid.build([0.0, 1.0], 512), make_power(p), OperatorParams(s=0.75), 0.4,
+        SolveOptions(tol=1e-8),
+    )
+    assert res.iterations <= max_iterations
+    assert res.lam == pytest.approx(lam, rel=1e-9)
+
+
+def test_atom_free_2d_solves_need_no_newton_polish(families, monkeypatch):
+    # the defect tail takes over where the energy stops resolving a step;
+    # the plain gradient polished 11 of these 18 solves
+    def polish(*args):
+        raise AssertionError("Newton polish called")
+
+    monkeypatch.setattr(solver, "_newton_polish", polish)
+    opts = SolveOptions(tol=2e-6)
+    for yf in (families["summix"], make_power(2.0), make_power(3.5)):
+        for cells in (8, 16):
+            grid = Grid.build([[0.0, 1.0], [0.0, 1.0]], (cells, cells))
+            for s in (0.25, 0.5, 0.75):
+                res = solve_eigen(grid, yf, OperatorParams(s=s), 0.4, opts)
+                assert res.residual <= 2e-6, (yf.label, cells, s)
 
 
 def _reference_subdifferential_residual(yf, kern, v, lam):

@@ -72,17 +72,19 @@ def test_power_rejects_sublinear():
 
 
 def test_power_log_closed_form():
-    G = make_power_log(2.0)
+    G = make_power_log(3.0)
     assert G(1.0) == pytest.approx(1.0)
-    assert G(np.e) == pytest.approx(2.0 * np.e**2)
+    assert G(np.e) == pytest.approx(2.0 * np.e**3)
     assert G(0.0) == 0.0
 
 
 def test_power_log_recorded_indices_match_dense_scan():
-    G = make_power_log(2.0)
+    # the recorded bounds p - 1 and p + 1 are the elasticity's infimum,
+    # approached just left of the knot, and its value at the knot
+    G = make_power_log(2.7)
     grid = np.logspace(-6, 6, 12 * 512 + 1)
     ratios = G.ratio(grid)
-    assert G.p_minus == pytest.approx(float(np.min(ratios)))
+    assert G.p_minus <= float(np.min(ratios)) <= G.p_minus + 5e-3
     assert G.p_plus == pytest.approx(float(np.max(ratios)))
     assert G.p_minus > 1.0
 
@@ -100,6 +102,28 @@ def test_power_log_exact_indices_above_two():
 def test_power_log_rejects_when_elasticity_leaves_range():
     with pytest.raises(YoungFunctionError):
         make_power_log(1.5)
+
+
+@pytest.mark.parametrize("p", [1.2, 2.0, 2.5, 2.6])
+def test_power_log_refuses_nonconvex_exponents(p):
+    # below (3 + sqrt(5))/2 the density dips left of the knot
+    with pytest.raises(YoungFunctionError, match=r"\(3 \+ sqrt\(5\)\)/2"):
+        make_power_log(p)
+    t = np.linspace(0.5, 1.0, 2001, endpoint=False)
+    dv = _where_power_log_dv(p)(t)
+    assert np.any(np.diff(dv) < 0.0)
+
+
+def test_power_log_builds_at_the_convexity_bound():
+    G = make_power_log((3.0 + np.sqrt(5.0)) / 2.0)
+    t = np.linspace(0.5, 2.0, 4001)
+    assert np.all(np.diff(G.g(t)) >= 0.0)
+
+
+def test_piecewise_power_refuses_a_downward_jump():
+    with pytest.raises(YoungFunctionError, match="'p' <= 'q'"):
+        make_piecewise_power(3.0, 2.0)
+    assert make_piecewise_power(2.0, 2.0)(3.0) == 9.0
 
 
 def test_piecewise_power_values_and_continuity():
@@ -191,9 +215,9 @@ def test_piecewise_power_is_bitwise_the_where_form(knot_inputs, p, q):
     assert yf.derivative(np.array([1.0]))[0] == q
 
 
-# power_log(1.5) is refused at construction (sampled elasticity 0.504);
-# p = 2, 2.5 and 3 take t**(p-1) through exponents 1, 1.5 and 2
-@pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
+# power_log(p) is refused below (3 + sqrt(5))/2, where G is not convex;
+# p = 2.7, 3 and 3.5 take t**(p-1) through exponents 1.7, 2 and 2.5
+@pytest.mark.parametrize("p", [2.7, 3.0, 3.5])
 def test_power_log_density_is_bitwise_the_where_form(knot_inputs, p):
     yf = make_power_log(p)
     for t in knot_inputs:
