@@ -28,38 +28,38 @@ numpy pairwise sums, but the energy reduces with ``np.dot``, a BLAS call
 whose last bit can depend on the thread count.
 
 Every pass over node pairs and exterior rays lives here and runs over node
-rows in blocks of about ``_BLOCK`` elements: the kernel build, the operator
-and its stationarity bands, the energy and its Newton Hessian, the pair
-test margin, crease normals and the Hoelder seminorm.  The kernel keeps
-the quotient scales, operator weights and energy weights once per lattice
-index offset and lays them out as row blocks on demand, so it holds O(N)
-numbers.  Where the node coordinates are exact in binary (power-of-two cell
-counts on [0, 1]) every per-offset entry is bitwise the one of each pair's
-own distance; elsewhere it moves by the rounding of the node differences,
-relative to h.  The row blocking moves no bit: every element sees the same
-operations in the same order and each row sum is taken over its whole row.
-The energy reduces the pairs i < j in chunks of ``_BLOCK`` pairs, one dot
-product each, which moves its last bits once there are more pairs than
-one chunk.  The pair test margin takes its minimum block by block; a zero
-margin, whose sign would depend on the order the minimum sees, is
-returned as +0.0.  No pass outside the Newton Hessian holds pair-length
-data.  The kernel also applies the eigen descent's spectral preconditioner,
-the inverse spectral fractional Laplacian of the lattice, through one real
-FFT of an odd extension and a spectrum of O(N) numbers formed on first use.
+rows in blocks of about ``_BLOCK`` elements: the kernel build, the
+operator, the energy and its Newton Hessian, the pair test margin and the
+Hoelder seminorm.  The kernel keeps the quotient scales, operator weights
+and energy weights once per lattice index offset and lays them out as row
+blocks on demand, so it holds O(N) numbers.  Where the node coordinates are
+exact in binary (power-of-two cell counts on [0, 1]) every per-offset entry
+is bitwise the one of each pair's own distance; elsewhere it moves by the
+rounding of the node differences, relative to h.  The row blocking moves no
+bit: every element sees the same operations in the same order and each row
+sum is taken over its whole row.  The energy reduces the pairs i < j in
+chunks of ``_BLOCK`` pairs, one dot product each, which moves its last bits
+once there are more pairs than one chunk.  The pair test margin takes its
+minimum block by block; a zero margin, whose sign would depend on the order
+the minimum sees, is returned as +0.0.  No pass outside the Newton Hessian
+holds pair-length data.  The kernel also applies the eigen descent's
+spectral preconditioner, the inverse spectral fractional Laplacian of the
+lattice, through one real FFT of an odd extension and a spectrum of O(N)
+numbers formed on first use.
 
-The operator pass forms |q| once per block and hands it to the density and
-to the slope bands, which call ``YoungFunction.derivative`` on their
-nonnegative arguments directly; the energy calls ``evaluate`` on |q|.  The
-even extension would take |.| of arguments that are already nonnegative,
-which moves no bit, and the branch-wise densities of ``fglap.young`` are
-bitwise their np.where forms, so none of this moves a bit either.
+The operator pass forms |q| once per block and hands it to
+``YoungFunction.derivative`` directly; the energy calls ``evaluate`` on
+|q|.  The even extension would take |.| of arguments that are already
+nonnegative, which moves no bit, and the branch-wise densities of
+``fglap.young`` are bitwise their np.where forms, so none of this moves a
+bit either.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -255,27 +255,6 @@ class _Kernel:
         for the same rows."""
         return self._offset_rows("wen", rows, rows.start)[self._upper(rows)]
 
-    def parked_normals(self, v: np.ndarray, limit: int) -> list[np.ndarray]:
-        """Normals of the pair quotients of v parked at |q| = 1 (to 1e-8),
-        for the first ``limit`` such pairs i < j in pair order: the gradient
-        of q_ij in v, qs_ij sign(q_ij) at node i and its negative at j."""
-        cells = self.grid.cells
-        normals = []
-        for rows, q in self.upper_quotients(v):
-            hits = np.nonzero(np.abs(np.abs(q) - 1.0) <= 1e-8)[0][: limit - len(normals)]
-            if len(hits):
-                # node indices of the block's pairs, in the order of q
-                a, c = np.nonzero(self._upper(rows))
-                for i, j, m in zip(rows.start + a[hits], rows.start + c[hits], hits):
-                    nvec = np.zeros_like(v)
-                    at = np.unravel_index(i, cells) + np.unravel_index(j, cells)
-                    scale = self._views["qs"][at] * np.sign(q[m])
-                    nvec[i], nvec[j] = scale, -scale
-                    normals.append(nvec)
-            if len(normals) == limit:
-                break
-        return normals
-
 
 # elements per block of a pair pass (256 KiB of float64): large enough to
 # amortize numpy's per-call cost, small enough to stay in L2 and to keep a
@@ -398,78 +377,20 @@ def _exterior_operator(u: np.ndarray, yf: YoungFunction, kern: _Kernel) -> np.nd
     return out
 
 
-def _slope_bands(
-    yf: YoungFunction, t: np.ndarray, at: np.ndarray, g_mid: np.ndarray
-):
-    """One-sided bounds for the odd density slope at t, given at = |t| and
-    g_mid = g(|t|).
-
-    Densities of piecewise families jump at isolated arguments; minimizers
-    of the discrete energy park pair quotients exactly on those atoms, where
-    the stationarity condition is an inclusion in the jump interval rather
-    than an equation.  Both one-sided limits are obtained by evaluating the
-    density a relative hair to either side.
-    """
-    # window wide enough to catch quotients parked at a jump to within the
-    # rounding noise of the stalled line search; it opens for every family,
-    # and its 1e-9 relative slack per pair is summed over a kernel row.
-    # Both sides are nonnegative, so the density takes them as they are
-    side = np.multiply(at, 1.0 - 1e-9)
-    g_left = yf.derivative(side)
-    np.multiply(at, 1.0 + 1e-9, out=side)
-    g_right = yf.derivative(side)
-    lo = np.minimum(g_left, g_right, out=side)
-    np.minimum(lo, g_mid, out=lo)
-    hi = np.maximum(g_left, g_right, out=g_left)
-    np.maximum(hi, g_mid, out=hi)
-    # where t < 0 the odd slope is -g: the bounds swap and change sign
-    neg = t < 0
-    neg_lo = np.negative(lo, out=g_right)
-    np.negative(hi, out=lo, where=neg)
-    np.copyto(hi, neg_lo, where=neg)
-    return lo, hi
-
-
-class _Pass(NamedTuple):
-    """One operator evaluation, with the per-node sums the stationarity
-    measure reuses."""
-
-    value: np.ndarray  # operator at every node
-    exterior: np.ndarray  # exterior term per node
-    # interior row sums of the lower and upper one-sided slope bands
-    # against the kernel; None when the pass was asked for no bands
-    band_lo: Optional[np.ndarray]
-    band_hi: Optional[np.ndarray]
-
-
-def _operator_pass(
-    v: np.ndarray, yf: YoungFunction, kern: _Kernel, bands: bool
-) -> _Pass:
-    """The operator at every node and its exterior term, formed in row
-    blocks; with ``bands`` also the row sums of the one-sided slope bands,
-    from the same block quotients and densities."""
+def _operator_pass(v: np.ndarray, yf: YoungFunction, kern: _Kernel) -> np.ndarray:
+    """The operator at every node, its interior sums formed in row blocks."""
     N = len(v)
     interior = np.empty(N)
-    band_lo = np.empty(N) if bands else None
-    band_hi = np.empty(N) if bands else None
     for rows in _row_blocks(N):
         q = kern.quotients(v, rows)
         aq = np.abs(q)
         gq = yf.derivative(aq)
-        w = kern.wop_rows(rows)
-        if bands:
-            lo, hi = _slope_bands(yf, q, aq, gq)
-            lo *= w
-            hi *= w
-            band_lo[rows] = np.sum(lo, axis=1)
-            band_hi[rows] = np.sum(hi, axis=1)
         # |q| is spent: its buffer takes the signed terms
         terms = np.sign(q, out=aq)
         terms *= gq
-        terms *= w
+        terms *= kern.wop_rows(rows)
         interior[rows] = np.sum(terms, axis=1)
-    ext = _exterior_operator(v, yf, kern)
-    return _Pass(interior + ext, ext, band_lo, band_hi)
+    return interior + _exterior_operator(v, yf, kern)
 
 
 def apply_operator(
@@ -480,7 +401,7 @@ def apply_operator(
     Per node: midpoint principal-value sum of g(quotient) * kernel over the
     other nodes, plus the exact exterior ray integrals (u = 0 outside).
     """
-    return _operator_pass(u.values, yf, get_kernel(u.grid, params), bands=False).value
+    return _operator_pass(u.values, yf, get_kernel(u.grid, params))
 
 
 def _energy_scaled(

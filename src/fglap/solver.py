@@ -5,8 +5,7 @@ Barzilai-Borwein trial steps, Armijo backtracking through a projection, and
 a damped Newton polish once the line search stalls at the floating-point
 floor.  The eigen solver minimizes the nonlocal modular energy over the
 modular sphere { int G(|u|) = mu }, projecting by renormalization onto the
-sphere and, for a family whose density may jump, sliding along
-density-jump creases when plain descent is blocked.
+sphere.
 
 For a family free of atoms the eigen probe preconditions its direction
 with the grid's spectral fractional Laplacian P (``_Kernel.precondition``):
@@ -23,10 +22,13 @@ on an atom stalls the preconditioned direction.  The fixed-source descent
 keeps it too, so the semilinear solve moves no bit.  The reported
 eigenvalue is the ratio of the weak pairing <A u, u> (the double sum of
 g(quotient) against quotients of u) to the zero-order pairing sum
-h**n g(u) u, so at convergence the discrete Euler-Lagrange
-system  2 * operator(u) = lambda * g(u)  holds up to the residual tolerance.
-Residuals are reported in operator units, i.e. the nodal gradient divided
-by the cell weight.
+h**n g(u) u.  For every family the stationarity measure is the plain
+Euler-Lagrange defect sup |2 * operator(u) - lambda * g(u)|, so at
+convergence the discrete system  2 * operator(u) = lambda * g(u)  holds up
+to the residual tolerance.  Where a minimizer parks quotients on a density
+jump, only the subdifferential inclusion can close, not this defect, and
+the solve raises.  Residuals are reported in operator units, i.e. the
+nodal gradient divided by the cell weight.
 
 The semilinear solver handles a fixed source by unconstrained convex
 descent in the same core, and an autonomous right-hand side f(u) by damped
@@ -50,11 +52,7 @@ import numpy as np
 from .grids import DiscreteFunction, Grid
 from .operator import (
     OperatorParams,
-    _Kernel,
-    _Pass,
     _energy_hessian,
-    _operator_pass,
-    _slope_bands,
     apply_operator,
     energy,
     get_kernel,
@@ -117,20 +115,14 @@ _POLISH_STEPS = 40
 # averaging weight and sweep budget of the Picard iteration
 _PICARD_DAMPING = 0.5
 _MAX_SWEEPS = 200
-# parked pair quotients a crease slide keeps tangent to, the first in pair order
-_CREASES = 32
 
 
 @dataclass
 class EigenResult:
     """Converged eigenpair with its modular level and iteration diagnostics.
 
-    ``residual`` is the stationarity measure in operator units.  For a
-    family declared free of atoms (``atoms == ()``) it is the plain defect
-    sup_k |2 A(u)_k - lambda g(u_k)| at ``lam``.  For any other family it
-    is that defect when it meets the tolerance, else the looser measure of
-    :func:`_subdifferential_residual`, which can meet it although the plain
-    defect at ``lam`` does not.
+    ``residual`` is the plain Euler-Lagrange defect in operator units,
+    sup_k |2 A(u)_k - lam g(u_k)| at the returned pair, for every family.
     """
 
     u: DiscreteFunction
@@ -180,53 +172,6 @@ def _bump(grid: Grid) -> np.ndarray:
             grid.bounds[k, 1] - grid.nodes[:, k]
         )
     return vals
-
-
-def _subdifferential_residual(
-    yf: YoungFunction, op: _Pass, v: np.ndarray, lam: float
-) -> float:
-    """Sup over nodes of the distance from 0 to the interval of possible
-    Euler-Lagrange defects 2 A_sel(v) - lam' * g_sel(v), minimized over
-    one-sided density selections and over multipliers lam'.  The eigen
-    solve calls it only for families whose atoms are not declared empty.
-    It searches lam' in [0.9 lam, 1.1 lam], and the bands widen each pair
-    density by 1e-9 relative, summed over a kernel row, so the value can sit
-    below sup|2A - lam g(v)| at the reported lam even where no quotient
-    sits on an atom.  Item 3 of ROADMAP.md replaces it with a certificate
-    at the declared atoms.
-
-    ``op`` is the operator pass at v, formed with bands; its band row sums
-    and exterior term are reused.
-
-    The per-node intervals are coordinate projections of the coupled
-    selection set, so the returned value is a certified lower bound for the
-    true stationarity defect; it is the quantity that can actually vanish
-    when a minimizer parks quotients on density-jump atoms.
-    """
-    a_lo = 2.0 * (op.band_lo + op.exterior)
-    a_hi = 2.0 * (op.band_hi + op.exterior)
-    av = np.abs(v)
-    g_lo, g_hi = _slope_bands(yf, v, av, yf.derivative(av))
-    # every multiplier searched lies in [0.9 lam, 1.1 lam], so has lam's sign
-    g_first, g_second = (g_hi, g_lo) if lam >= 0 else (g_lo, g_hi)
-
-    def sup_dist(lms: np.ndarray) -> np.ndarray:
-        """The sup of per-node distances at each multiplier in lms."""
-        r_lo = a_lo - lms[:, None] * g_first
-        r_hi = a_hi - lms[:, None] * g_second
-        return np.max(np.maximum(r_lo, 0.0) + np.maximum(-r_hi, 0.0), axis=1)
-
-    # the sup of per-node distances is convex in the multiplier
-    lo, hi = 0.9 * lam, 1.1 * lam
-    for _ in range(80):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        d1, d2 = sup_dist(np.array([m1, m2]))
-        if d1 <= d2:
-            hi = m2
-        else:
-            lo = m1
-    return float(sup_dist(np.array([0.5 * (lo + hi)]))[0])
 
 
 class _Probe(NamedTuple):
@@ -318,7 +263,6 @@ def _descend(
     project: _Projection,
     probe: Callable[[np.ndarray], _Probe],
     opts: SolveOptions,
-    slide: Optional[Callable[[np.ndarray, _Probe], Optional[np.ndarray]]] = None,
 ):
     """The descent core shared by the eigen and source solves.
 
@@ -329,8 +273,7 @@ def _descend(
     floating-point floor of the objective, a probe with a ``plain``
     direction first takes the defect tail: the same step, halved along
     both directions, accepted on decrease of the measured defect.  Failing
-    that, ``slide`` may offer another direction from the natural step;
-    otherwise a damped Newton polish ends the descent.  Stops once the
+    that, a damped Newton polish ends the descent.  Stops once the
     measured defect reaches opts.tol.
 
     Returns (u, probe, iterations, history, stall): the iterate with the
@@ -404,37 +347,16 @@ def _descend(
                 if plain:
                     prev = None  # the direction family changed
         if found is None:
-            d2 = slide(u, p) if slide is not None else None
-            if d2 is not None:
-                found = line_search(u, J, d2, hn * float(np.dot(d2, d2)), p.natural, floor)
-                prev = None  # the direction family changed
-            if found is None:
-                polished = _newton_polish(grid, yf, params, u, p, probe, project, opts.tol)
-                if polished[1].res < best[1].res:
-                    best = polished
-                if polished[1].res > opts.tol:
-                    stall = polished[1].res
-                break
+            polished = _newton_polish(grid, yf, params, u, p, probe, project, opts.tol)
+            if polished[1].res < best[1].res:
+                best = polished
+            if polished[1].res > opts.tol:
+                stall = polished[1].res
+            break
         u, J = found
         history.append(J)
         p = probe(u) if probed is None else probed
     return best[0], best[1], it, history, stall
-
-
-def _crease_direction(kern: _Kernel, v: np.ndarray, p: _Probe) -> Optional[np.ndarray]:
-    """Gradient projected tangent to the sphere and to every quotient parked
-    on a density-jump surface (the first _CREASES in pair order), so the iterate
-    can slide along the creases that block the plain direction."""
-    A2, gv = p.grad, p.normal
-    normals = kern.parked_normals(v, _CREASES)
-    if not normals:
-        return None
-    B = np.column_stack([gv, *normals])
-    coef, *_ = np.linalg.lstsq(B, A2, rcond=None)
-    d2 = A2 - B @ coef
-    if float(np.dot(d2, d2)) <= 1e-24 * float(np.dot(A2, A2)):
-        return None
-    return d2
 
 
 def solve_eigen(
@@ -448,12 +370,11 @@ def solve_eigen(
 
     Runs the descent core on { int G(|u|) = mu }: the energy is the
     objective and renormalization onto the sphere the projection.  A family
-    free of atoms descends along the spectrally preconditioned direction;
-    for a family that may have atoms, the iterate takes the plain gradient
-    and slides along active density-jump creases when it is blocked.
-    Convergence is reached when the measured stationarity defect, as
-    :class:`EigenResult` describes its ``residual``, drops below opts.tol;
-    a stalled descent raises :class:`StagnationError`.
+    free of atoms descends along the spectrally preconditioned direction; a
+    family that may have atoms takes the plain gradient.  Convergence is
+    reached when the plain Euler-Lagrange defect, as :class:`EigenResult`
+    describes its ``residual``, drops below opts.tol; a stalled descent
+    raises :class:`StagnationError`.
     """
     if not mu > 0:
         raise ValueError("modular level mu must be positive")
@@ -462,9 +383,8 @@ def solve_eigen(
     u /= _modular_scale(u, hn, yf, mu)
 
     kern = get_kernel(grid, params)
-    # a density without atoms has no jump to park a quotient on: the plain
-    # defect is the measure, and there is no crease to slide along
-    may_jump = yf.atoms != ()
+    # a quotient parked on an atom stalls the preconditioned direction
+    preconditioned = yf.atoms == ()
 
     def objective(v: np.ndarray) -> float:
         return energy(DiscreteFunction(grid, v), yf, params)
@@ -475,25 +395,17 @@ def solve_eigen(
         return v / _modular_scale(v, hn, yf, mu)
 
     def probe(v: np.ndarray) -> _Probe:
-        # for a family that may have atoms, one operator pass serves the
-        # plain and the subdifferential defect; it forms the bands even when
-        # the plain defect closes, which costs less than a second pass when
-        # it does not.  DiscreteFunction still rejects a non-finite iterate
-        op = _operator_pass(DiscreteFunction(grid, v).values, yf, kern, bands=may_jump)
-        A2 = 2.0 * op.value
+        # DiscreteFunction rejects a non-finite iterate
+        A2 = 2.0 * apply_operator(DiscreteFunction(grid, v), yf, params)
         gv = yf.slope_odd(v)
         lam = float(np.dot(A2, v) / np.dot(gv, v))
         r = A2 - lam * gv
         res = float(np.max(np.abs(r)))
-        if may_jump and res > opts.tol:
-            # minimizers may park pair quotients on density-jump atoms, where
-            # only the subdifferential inclusion can close; measure that instead
-            res = _subdifferential_residual(yf, op, v, lam)
         # descent direction: gradient projected along g(u), the tangent
         # direction of the modular sphere (coincides with r for powers)
         d = A2 - (float(np.dot(A2, gv)) / float(np.dot(gv, gv))) * gv
         natural = 1.0 / max(abs(lam), 1e-12)
-        if may_jump:
+        if not preconditioned:
             return _Probe(res, r, A2, d, natural, gv, lam)
         # the preconditioned gradient, made tangent to the sphere along P g
         PA2, Pg = kern.precondition(A2), kern.precondition(gv)
@@ -501,10 +413,7 @@ def solve_eigen(
         natural *= float(np.linalg.norm(d)) / float(np.linalg.norm(dp))
         return _Probe(res, r, A2, dp, natural, gv, lam, d)
 
-    u, p, it, history, stall = _descend(
-        grid, yf, params, u, objective, project, probe, opts,
-        (lambda v, p: _crease_direction(kern, v, p)) if may_jump else None,
-    )
+    u, p, it, history, stall = _descend(grid, yf, params, u, objective, project, probe, opts)
     if p.res <= opts.tol:
         return EigenResult(
             DiscreteFunction(grid, u), p.lam, mu, it, p.res, np.asarray(history)

@@ -113,6 +113,7 @@ def _check_young_wellformed(ctx) -> CheckResult:
             rep["elasticity_upper_margin"] + 1e-12,
             rep["doubling_margin"] + 1e-12,
             rep["convexity_margin"] + 1e-12,
+            rep["density_monotone_margin"],
             -abs(rep["g_at_zero"]) + 1e-30,
         )
         count += 1
@@ -427,6 +428,9 @@ def _check_refinement_consistency(ctx) -> CheckResult:
 # solver checks (share one solve ladder)
 # ---------------------------------------------------------------------------
 
+# cells of the 1d grids the shared eigen solves run on, coarse to fine
+_LADDER_SIZES = (24, 48, 96)
+
 
 def _ladder(ctx):
     """The eigen solves shared by the solver checks, run once per context.
@@ -445,7 +449,7 @@ def _ladder(ctx):
         try:
             ctx._ladder = [
                 solve_eigen(Grid.build([0.0, 1.0], n), yf, params, ctx.mu, opts)
-                for n in ctx.ladder_sizes
+                for n in _LADDER_SIZES
             ]
         except ConvergenceError as exc:
             ctx._ladder = exc.with_traceback(None)
@@ -627,7 +631,7 @@ _CHECKS = {name: fn for group in INVARIANT_REGISTRY.values() for name, fn in gro
 
 
 class _Context:
-    def __init__(self, seed, s, mu, n, families, draws, ladder_sizes, primary):
+    def __init__(self, seed, s, mu, n, families, draws, primary):
         self.seed = seed
         self.s = s
         self.mu = mu
@@ -636,7 +640,6 @@ class _Context:
         for name in families:
             self.embedding.setdefault(name, (s, n))
         self.draws = draws
-        self.ladder_sizes = ladder_sizes
         self.primary = primary
         self._ladder = None
 
@@ -648,7 +651,6 @@ def run_verify(
     n: int = 2,
     *,
     draws: int = 10,
-    ladder_sizes: tuple[int, ...] = (24, 48, 96),
     primary: str = "piecewise2_3",
     only: Optional[Iterable[str]] = None,
     families: Optional[dict[str, YoungFunction]] = None,
@@ -667,7 +669,6 @@ def run_verify(
         n,
         families if families is not None else builtin_families(),
         draws,
-        ladder_sizes,
         primary,
     )
     report = VerifyReport(seed=seed)

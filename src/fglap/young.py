@@ -584,8 +584,8 @@ class _LogLogTable:
     and the coefficients of 1, s, s**2, s**3 in s = log x - origin; the
     power-law rows' zero higher coefficients add only signed zeros, so the
     rows evaluate with one formula.  With the row edges that is 6 float64
-    words per knot: ``logx`` and ``logy`` are views of the first two
-    columns, and the derivative's coefficients 2*c2 and 3*c3 are formed
+    words per knot: the knots and their values are the first two columns of
+    rows 1 to n, and the derivative's coefficients 2*c2 and 3*c3 are formed
     from the gathered rows with the float operations scipy's
     ``derivative()`` uses.
 
@@ -647,14 +647,6 @@ class _LogLogTable:
         with np.errstate(invalid="ignore"):
             top = np.exp(logy[-1] + m[-1] * np.inf)
             self._at_inf = (top, top * m[-1] / np.inf)
-
-    @property
-    def logx(self) -> np.ndarray:
-        return self._coef[1:, 0]
-
-    @property
-    def logy(self) -> np.ndarray:
-        return self._coef[1:, 1]
 
     def _rows(self, lx: np.ndarray) -> np.ndarray:
         """The row of every finite lx: ``searchsorted(edges, lx, "right")``."""
@@ -1359,9 +1351,16 @@ def builtin_embedding_params() -> dict[str, tuple[float, int]]:
 
 
 def check_young_wellformed(yf: YoungFunction) -> dict:
-    """Sampled structural checks on [1e-3, 1e3]: G(0) = 0, strict increase,
-    convexity, elasticity inside the declared bounds, and the doubling
-    inequality.
+    """Sampled structural checks: G(0) = 0, and on [1e-3, 1e3] strict
+    increase, elasticity inside the declared bounds, the doubling
+    inequality and second differences of G on one uniform grid; on a
+    geometric grid of 200,000 steps over [1e-6, 1e6], that the density g
+    is nondecreasing, which is convexity of G.
+
+    The density margin is the least relative step (g(t') - g(t)) / g(t')
+    between neighbouring grid points, so a g that dips anywhere on the grid
+    reads negative however few samples of G fall there.  An upward jump of
+    g, as at an atom, passes.
 
     Returns a dict of worst-case margins (nonnegative means satisfied).
     """
@@ -1374,10 +1373,17 @@ def check_young_wellformed(yf: YoungFunction) -> dict:
     upper = float(np.min(yf.p_plus - ratios))
     doubled = yf.doubling_constant * vals
     doubling = float(np.min((doubled - yf(2.0 * ts)) / doubled))
-    # finite-difference convexity on a uniform refinement of each decade
     tt = np.linspace(ts[0], ts[-1], 2048)
     vv = yf(tt)
     second = vv[2:] - 2.0 * vv[1:-1] + vv[:-2]
+    # the geometric grid in 20 pieces that share their end points, so no
+    # temporary holds more than 10,001 values
+    density = np.inf
+    edges = np.linspace(-6.0, 6.0, 21)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        gs = yf.g(np.logspace(lo, hi, 10001))
+        steps = np.diff(gs) / np.maximum(gs[1:], np.finfo(float).tiny)
+        density = min(density, float(np.min(steps)))
     return {
         "g_at_zero": g0,
         "strict_increase_margin": increase,
@@ -1385,4 +1391,5 @@ def check_young_wellformed(yf: YoungFunction) -> dict:
         "elasticity_upper_margin": upper,
         "doubling_margin": doubling,
         "convexity_margin": float(np.min(second)),
+        "density_monotone_margin": density,
     }

@@ -516,7 +516,7 @@ def test_verify_registry_check_passes():
 
 
 def test_full_verify_no_failures():
-    rep = run_verify(seed=7, draws=5, ladder_sizes=(24, 48, 96))
+    rep = run_verify(seed=7, draws=5)
     failed = [c.name for c in rep.failed]
     assert rep.ok, failed
     names = {c.name for c in rep.checks}

@@ -47,9 +47,9 @@ _LATTICE = {
     "rfftn",
     "irfftn",
 }
-# what other modules may read of a kernel: its grid and parameters, the
-# crease normals the solver slides along and the preconditioner it applies
-_KERNEL_SURFACE = {"grid", "params", "parked_normals", "precondition"}
+# what other modules may read of a kernel: its grid and parameters and the
+# preconditioner the solver applies
+_KERNEL_SURFACE = {"grid", "params", "precondition"}
 # the growth-function layer: the log-log tables and the replayed root finds
 _TABLES = {"_KNOTS", "_GUESS_MIN", "_panel_integral", "_LogLogTable", "_replay_bisection"}
 

@@ -569,7 +569,7 @@ def test_pair_passes_stay_within_block_memory(families):
     N = grid.node_count
     # (pass, bound on its traced peak); one pair-length vector is 15.25 MiB
     passes = {
-        "banded pass": (lambda: _operator_pass(v, yf, kern, bands=True), N * N * 8 // 2),
+        "operator pass": (lambda: _operator_pass(v, yf, kern), 4 * 1024 * 1024),
         "blocked energy": (lambda: _energy_scaled(v, yf, kern, 1.0), 2 * 1024 * 1024),
         "apply_operator": (lambda: apply_operator(u, yf, params), 4 * 1024 * 1024),
         "energy": (lambda: energy(u, yf, params), 4 * 1024 * 1024),
@@ -588,8 +588,7 @@ def test_pair_passes_stay_within_block_memory(families):
             peaks[name] = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # the banded pass stays below half of one N x N float64 array, and no
-    # other pass holds a pair-length vector
+    # no pass holds a pair-length vector
     assert all(peaks[name] < bound for name, (_, bound) in passes.items()), peaks
 
 
@@ -602,7 +601,7 @@ def test_passes_stay_within_block_memory_at_2d_32(families):
     _hat_table(yf)  # the exterior table is built once per growth function
     passes = {
         "energy": lambda: _energy_scaled(v, yf, kern, 1.0),
-        "banded pass": lambda: _operator_pass(v, yf, kern, bands=True),
+        "operator pass": lambda: _operator_pass(v, yf, kern),
         "exterior": lambda: _exterior_operator(v, yf, kern),
     }
     peaks = {}
@@ -632,11 +631,11 @@ params = OperatorParams(s=0.5)
 kern = get_kernel(grid, params)
 v = np.sin(np.pi * grid.nodes[:, 0]) * np.sin(np.pi * grid.nodes[:, 1])
 u = DiscreteFunction(grid, v)
-_operator_pass(v, yf, kern, bands=True)  # builds the Ghat table
+_operator_pass(v, yf, kern)  # builds the Ghat table
 energy(u, yf, params)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(10):
-    _operator_pass(v, yf, kern, bands=True)
+    _operator_pass(v, yf, kern)
     energy(u, yf, params)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 print(after - before, any(m.split(".")[0] == "scipy" for m in sys.modules))

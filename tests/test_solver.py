@@ -45,12 +45,7 @@ from fglap.operator import (
     get_kernel,
 )
 from fglap import solver
-from fglap.solver import (
-    StagnationError,
-    _Probe,
-    _crease_direction,
-    _subdifferential_residual,
-)
+from fglap.solver import StagnationError
 from fglap.young import _hat_table, _modular_scale
 from conftest import dense_kernel
 from test_operator import _MULTI_BLOCK_GRIDS, dense_linear_matrix_1d, linear_family
@@ -292,30 +287,28 @@ def test_eigen_power_log_family(families):
     assert res.u.values.min() >= -1e-10 * sup_norm(res.u)
 
 
-@pytest.mark.parametrize(
-    "s, iterations, lam",
-    [
-        # converges only through its crease slides (42 of them)
-        (0.4, 110, 12.337500894132184),
-        # takes the Barzilai-Borwein fallback to the natural step once
-        (0.25, 31, 11.560093644112674),
-    ],
-)
-def test_eigen_descent_paths_pinned(families, s, iterations, lam):
+def test_eigen_descent_paths_pinned_at_s_0_4(families):
+    # the minimizer parks pair quotients on the density jump, where the plain
+    # Euler-Lagrange defect cannot close: the solve raises with that defect
+    with pytest.raises(StagnationError) as info:
+        solve_eigen(
+            Grid.build([0.0, 1.0], 128), families["piecewise2_3"], OperatorParams(s=0.4),
+            1.0, SolveOptions(tol=2e-6, max_iter=3000),
+        )
+    assert str(info.value) == (
+        "line search collapsed at iteration 67 (best residual 3.361e-03)"
+    )
+
+
+def test_eigen_descent_paths_pinned_at_s_0_25(families):
+    # takes the Barzilai-Borwein fallback to the natural step once
     res = solve_eigen(
-        Grid.build([0.0, 1.0], 128), families["piecewise2_3"], OperatorParams(s=s),
+        Grid.build([0.0, 1.0], 128), families["piecewise2_3"], OperatorParams(s=0.25),
         1.0, SolveOptions(tol=2e-6, max_iter=3000),
     )
-    assert res.iterations == iterations
-    assert res.lam == pytest.approx(lam, rel=1e-12)
-    # both residuals come from the subdifferential measure: the plain
-    # Euler-Lagrange defect of the final iterate is above tol (9.6e-3 at
-    # s = 0.4, 2.9e-6 at s = 0.25)
-    assert res.residual == pytest.approx(_PINNED_RESIDUALS[s], rel=1e-12)
-
-
-# keyed by s so the parametrized test ids above stay as they are
-_PINNED_RESIDUALS = {0.4: 1.3645713883292387e-06, 0.25: 1.9312726209363973e-06}
+    assert res.iterations == 31
+    assert res.lam == pytest.approx(11.560093642704766, rel=1e-12)
+    assert res.residual == pytest.approx(1.2709028283097723e-06, rel=1e-12)
 
 
 def test_verify_ladder_stall_raises(families):
@@ -329,7 +322,7 @@ def test_verify_ladder_stall_raises(families):
             1.0, SolveOptions(tol=2e-6, max_iter=8000),
         )
     assert str(info.value) == (
-        "line search collapsed at iteration 411 (best residual 6.919e-01)"
+        "line search collapsed at iteration 410 (best residual 8.873e-01)"
     )
 
 
@@ -344,32 +337,50 @@ def test_eigen_2d_pinned(families):
     assert res.residual == pytest.approx(2.874902023108916e-07, rel=1e-12)
 
 
-def test_atom_free_families_skip_the_slope_bands(families, monkeypatch):
-    # a family whose density has no atom forms no bands, measures no
-    # subdifferential and slides along no crease; a family with one does
-    class Reached(Exception):
-        pass
+# the sweep's converged cases: (family, s, mu) -> (iterations, lambda)
+_JUMP_SWEEP_CONVERGED = {
+    ("piecewise2_3", 0.25, 0.1): (32, 13.744259947670697),
+    ("piecewise2_3", 0.25, 0.4): (26, 13.744259947670656),
+    ("piecewise2_3", 0.25, 1.0): (31, 11.560093642704766),
+    ("piecewise2_3", 0.4, 0.1): (49, 13.01597160189592),
+    ("piecewise2_3", 0.4, 0.4): (45, 13.85827957326411),
+    ("powerlog3", 0.25, 0.1): (37, 12.137910499520485),
+    ("powerlog3", 0.25, 0.4): (27, 12.722301742750608),
+    ("powerlog3", 0.4, 0.1): (48, 12.157296379093031),
+    ("powerlog3", 0.4, 0.4): (44, 14.391644012391147),
+}
 
-    def reached(*args):
-        raise Reached
 
-    monkeypatch.setattr("fglap.operator._slope_bands", reached)
-    monkeypatch.setattr(solver, "_subdifferential_residual", reached)
-    monkeypatch.setattr(solver, "_crease_direction", reached)
-    grids = (Grid.build([0.0, 1.0], 32), Grid.build([[0.0, 1.0], [0.0, 1.0]], (8, 8)))
-    opts = SolveOptions(tol=1e-6, max_iter=3000)
-    for name in ("power2", "power3.5", "summix"):
-        for grid in grids:
-            res = solve_eigen(grid, families[name], OperatorParams(s=0.5), 1.0, opts)
-            assert res.residual <= 1e-6, (name, grid.dim)
-    with pytest.raises(Reached):
-        solve_eigen(grids[0], families["piecewise2_3"], OperatorParams(s=0.5), 1.0, opts)
+def test_jump_families_converge_on_the_plain_defect_or_raise(families):
+    # every case either returns the plain Euler-Lagrange defect at its pair,
+    # within tol, or raises; README gives the sweep with s = 0.75 added
+    grid = Grid.build([0.0, 1.0], 128)
+    opts = SolveOptions(tol=2e-6, max_iter=3000)
+    converged = {}
+    for name in ("piecewise2_3", "powerlog3"):
+        yf = families[name]
+        for s in (0.25, 0.4):
+            params = OperatorParams(s=s)
+            for mu in (0.1, 0.4, 1.0, 4.0):
+                try:
+                    res = solve_eigen(grid, yf, params, mu, opts)
+                except ConvergenceError:
+                    continue
+                defect = 2.0 * apply_operator(res.u, yf, params) - res.lam * yf.slope_odd(
+                    res.u.values
+                )
+                assert res.residual == np.max(np.abs(defect)) <= opts.tol, (name, s, mu)
+                converged[name, s, mu] = (res.iterations, res.lam)
+    assert converged.keys() == _JUMP_SWEEP_CONVERGED.keys()
+    for case, (iterations, lam) in _JUMP_SWEEP_CONVERGED.items():
+        assert converged[case][0] == iterations, case
+        assert converged[case][1] == pytest.approx(lam, rel=1e-12), case
 
 
 @pytest.mark.parametrize("name, cells", [("power2", 16), ("power2", 64), ("summix", 32)])
 def test_atom_free_residual_is_the_plain_defect(families, name, cells):
-    # at a tolerance below the bands' 1e-9 slack the subdifferential
-    # measure read 0.0 here; the plain defect at the returned pair does not
+    # far below the default tolerance the residual is still the plain
+    # defect at the returned pair, and still positive
     yf = families[name]
     params = OperatorParams(s=0.5)
     res = solve_eigen(Grid.build([0.0, 1.0], cells), yf, params, 1.0, SolveOptions(tol=1e-13))
@@ -431,42 +442,6 @@ def test_atom_free_2d_solves_need_no_newton_polish(families, monkeypatch):
                 assert res.residual <= 2e-6, (yf.label, cells, s)
 
 
-def _reference_subdifferential_residual(yf, kern, v, lam):
-    """The stationarity measure formed from scratch, one multiplier per call."""
-
-    def bands(t):
-        at = np.abs(t)
-        g_mid = yf.g(at)
-        g_left = yf.g(at * (1.0 - 1e-9))
-        g_right = yf.g(at * (1.0 + 1e-9))
-        lo = np.minimum(np.minimum(g_left, g_right), g_mid)
-        hi = np.maximum(np.maximum(g_left, g_right), g_mid)
-        neg = t < 0
-        return np.where(neg, -hi, lo), np.where(neg, -lo, hi)
-
-    qs, wop = dense_kernel(kern)
-    b_lo, b_hi = bands((v[:, None] - v[None, :]) * qs)
-    ext = _exterior_operator(v, yf, kern)
-    a_lo = 2.0 * (np.sum(b_lo * wop, axis=1) + ext)
-    a_hi = 2.0 * (np.sum(b_hi * wop, axis=1) + ext)
-    g_lo, g_hi = bands(v)
-
-    def sup_dist(lm):
-        r_lo = a_lo - lm * np.where(lm >= 0, g_hi, g_lo)
-        r_hi = a_hi - lm * np.where(lm >= 0, g_lo, g_hi)
-        return float(np.max(np.maximum(r_lo, 0.0) + np.maximum(-r_hi, 0.0)))
-
-    lo, hi = 0.9 * lam, 1.1 * lam
-    for _ in range(80):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if sup_dist(m1) <= sup_dist(m2):
-            hi = m2
-        else:
-            lo = m1
-    return sup_dist(0.5 * (lo + hi))
-
-
 _PARK_STEPS = 16  # ulp steps allowed when parking a quotient on |q| = 1
 
 
@@ -505,18 +480,10 @@ def test_operator_pass_is_bitwise_the_reference(families, family, bounds, cells)
     assert np.count_nonzero(q == 1.0) == 4 and np.count_nonzero(q == -1.0) == 4
     assert kern.quotients(v, slice(None)).tobytes() == q.tobytes()
 
-    op = _operator_pass(v, yf, kern, bands=True)
-    # the operator formed from scratch, without the shared pass
+    # the operator formed from scratch, without the blocked pass
     ref = np.sum(yf.slope_odd(q) * wop, axis=1) + _exterior_operator(v, yf, kern)
-    assert op.value.tobytes() == ref.tobytes()
+    assert _operator_pass(v, yf, kern).tobytes() == ref.tobytes()
     assert apply_operator(DiscreteFunction(grid, v), yf, params).tobytes() == ref.tobytes()
-
-    gv = yf.slope_odd(v)
-    lam = float(np.dot(2.0 * op.value, v) / np.dot(gv, v))
-    # a negative multiplier takes the other one-sided selection
-    for lm in (lam, 0.5 * lam, -lam):
-        got = _subdifferential_residual(yf, op, v, lm)
-        assert got == _reference_subdifferential_residual(yf, kern, v, lm)
 
 
 def _parked(kern, seed):
@@ -591,49 +558,6 @@ def test_energy_hessian_stays_within_two_matrices(families):
         tracemalloc.stop()
         _KERNELS.pop((grid.key, params.s))
     assert peak < 2 * N * N * 8
-
-
-def _reference_crease_direction(kern, v, A2, gv):
-    """The crease slide direction over the triu_indices pair vector."""
-    i0, i1 = np.triu_indices(len(v), k=1)
-    pair_qs = dense_kernel(kern)[0][i0, i1]
-    qv = (v[i0] - v[i1]) * pair_qs
-    active = np.nonzero(np.abs(np.abs(qv) - 1.0) <= 1e-8)[0]
-    if len(active) == 0:
-        return None
-    cols = [gv]
-    for m in active[:32]:
-        nvec = np.zeros_like(v)
-        scale = pair_qs[m] * np.sign(qv[m])
-        nvec[i0[m]], nvec[i1[m]] = scale, -scale
-        cols.append(nvec)
-    B = np.column_stack(cols)
-    coef, *_ = np.linalg.lstsq(B, A2, rcond=None)
-    d2 = A2 - B @ coef
-    if float(np.dot(d2, d2)) <= 1e-24 * float(np.dot(A2, A2)):
-        return None
-    return d2
-
-
-@pytest.mark.parametrize("bounds, cells", _MULTI_BLOCK_GRIDS)
-def test_crease_direction_is_bitwise_the_triu_form(families, bounds, cells):
-    yf = families["piecewise2_3"]
-    grid = Grid.build(bounds, cells)
-    params = OperatorParams(s=0.4)
-    kern = get_kernel(grid, params)
-    parked = _parked(kern, 29)
-    # unparked, parked beyond the 32-crease cap, and parked below it
-    below = parked.copy()
-    below[1:21] = np.random.default_rng(31).standard_normal(20)
-    for v in (np.random.default_rng(29).standard_normal(grid.node_count), parked, below):
-        A2 = 2.0 * _operator_pass(v, yf, kern, bands=False).value
-        gv = yf.slope_odd(v)
-        p = _Probe(0.0, A2, A2, A2, 1.0, gv, 1.0)
-        got = _crease_direction(kern, v, p)
-        ref = _reference_crease_direction(kern, v, A2, gv)
-        assert (got is None) == (ref is None)
-        if ref is not None:
-            assert got.tobytes() == ref.tobytes()
 
 
 def _ray_dist(grid):

@@ -234,6 +234,28 @@ def test_wellformed_margins_on_roster(families):
         assert rep["elasticity_upper_margin"] >= -1e-8, name
         assert rep["doubling_margin"] >= -1e-8, name
         assert rep["convexity_margin"] >= -1e-12, name
+        # powerlog3's g has the least relative step, 6.9e-5, just below t = 1
+        assert rep["density_monotone_margin"] > 0, name
+
+
+def test_wellformed_reports_a_density_that_dips_below_one():
+    # power_log(2), built past the constructor that refuses it: its g falls
+    # from t = exp(-1/2) to 1, where too few samples of G fall for the
+    # second differences to see it
+    def ev(t):
+        out = np.zeros_like(t)
+        pos = t > 0
+        out[pos] = t[pos] ** 2.0 * (1.0 + np.abs(np.log(t[pos])))
+        return out
+
+    yf = young.YoungFunction(
+        ev, _where_power_log_dv(2.0), 1.0 + 1e-9, 3.0, "power_log(2)", atoms=(1.0,)
+    )
+    rep = check_young_wellformed(yf)
+    assert rep["convexity_margin"] > 0
+    assert rep["density_monotone_margin"] < 0
+    g = yf.g(np.logspace(-6, 6, 200001))
+    assert np.count_nonzero(np.diff(g) < 0) == 3618
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +284,13 @@ def test_combine_compose():
     G = combine("compose", [make_power(2.0), make_power(2.0)])
     assert G(2.0) == pytest.approx(16.0)
     assert (G.p_minus, G.p_plus) == (4.0, 4.0)
+
+
+def test_combine_compose_density():
+    # power(2) after power(1.5) is t**3: the chain rule gives g = 3 t**2
+    G = combine("compose", [make_power(2.0), make_power(1.5)])
+    t = np.logspace(-3.0, 3.0, 61)
+    assert np.allclose(G.g(t), 3.0 * t**2, rtol=1e-14, atol=0.0)
 
 
 def test_combine_rejects_empty_and_bad_coefficients():
@@ -653,6 +682,18 @@ def test_superposition_norm_bound(families, embedding, gstars, compositions):
             lhs = luxemburg_norm(comp, WeightedSamples(np.asarray(yf(np.abs(u))), w))
             nrm = luxemburg_norm(gstar, WeightedSamples(u, w))
             assert lhs <= max(nrm**yf.p_plus, nrm**yf.p_minus) * (1 + 1e-6), name
+
+
+def test_embedding_composition_density_matches_its_values(families, compositions):
+    # g of G* o G^{-1} against central differences of the tabulated G, on
+    # points clear of t = 1, where the jump families' densities jump.  The
+    # values interpolate G in log-log, so their slope leaves the exact
+    # density by up to 1.2e-6 relative here, whatever the step
+    t = np.logspace(-2.0, 2.0, 40)
+    h = 1e-6 * t
+    for name, comp in compositions.items():
+        slope = (comp(t + h) - comp(t - h)) / (2.0 * h)
+        assert np.allclose(comp.g(t), slope, rtol=1e-5, atol=0.0), name
 
 
 # ---------------------------------------------------------------------------
