@@ -7,28 +7,26 @@ floor.  The eigen solver minimizes the nonlocal modular energy over the
 modular sphere { int G(|u|) = mu }, projecting by renormalization onto the
 sphere.
 
-For a family free of atoms the eigen probe preconditions its direction
-with the grid's spectral fractional Laplacian P (``_Kernel.precondition``):
+The eigen probe preconditions its direction with the grid's spectral
+fractional Laplacian P (``_Kernel.precondition``):
 d = P A2 - (<P A2, g> / <P g, g>) P g, tangent to the sphere's normal g,
 with the natural step scaled by |d_plain| / |d| and the Armijo slope
-h**n grad E . d; the plain direction's slope h**n d . d is the same
-quantity, so the plain paths keep their bits.  The iteration count of the
-plain gradient grows with N at s >= 1/2, and P takes the operator's
-stiffness out of it.  Where the energy no longer resolves a step, such a
-solve backtracks the same step on decrease of the measured defect, along d
-and then along the plain direction, before it falls back on the dense
-Newton polish.  Jump families keep the plain gradient: a quotient parked
-on an atom stalls the preconditioned direction.  The fixed-source descent
-keeps it too, so the semilinear solve moves no bit.  The reported
-eigenvalue is the ratio of the weak pairing <A u, u> (the double sum of
-g(quotient) against quotients of u) to the zero-order pairing sum
-h**n g(u) u.  For every family the stationarity measure is the plain
-Euler-Lagrange defect sup |2 * operator(u) - lambda * g(u)|, so at
-convergence the discrete system  2 * operator(u) = lambda * g(u)  holds up
-to the residual tolerance.  Where a minimizer parks quotients on a density
-jump, only the subdifferential inclusion can close, not this defect, and
-the solve raises.  Residuals are reported in operator units, i.e. the
-nodal gradient divided by the cell weight.
+h**n grad E . d.  The iteration count of the plain gradient grows with N
+at s >= 1/2, and P takes the operator's stiffness out of it.  Where the
+energy no longer resolves a step, the eigen solve backtracks the same step
+on a sufficient decrease of the measured defect, along d and then along
+the plain direction, before it falls back on the dense Newton polish.
+The fixed-source descent takes the plain gradient, whose slope
+h**n grad E . d is h**n d . d.  The reported eigenvalue is the ratio of
+the weak pairing <A u, u> (the double sum of g(quotient) against
+quotients of u) to the zero-order pairing sum h**n g(u) u.  For every
+family the stationarity measure is the plain Euler-Lagrange defect
+sup |2 * operator(u) - lambda * g(u)|, so at convergence the discrete
+system  2 * operator(u) = lambda * g(u)  holds up to the residual
+tolerance.  Where a minimizer parks quotients on a density jump, only the
+subdifferential inclusion can close, not this defect, and the solve
+raises.  Residuals are reported in operator units, i.e. the nodal
+gradient divided by the cell weight.
 
 The semilinear solver handles a fixed source by unconstrained convex
 descent in the same core, and an autonomous right-hand side f(u) by damped
@@ -183,8 +181,8 @@ class _Probe(NamedTuple):
     ``natural`` is the step taken when no Barzilai-Borwein step is
     available.  ``normal`` is the normal of the constraint surface and
     ``lam`` its multiplier, both None for an unconstrained objective.
-    ``plain`` is the unpreconditioned direction when ``direction`` is a
-    preconditioned one, else None.
+    ``plain`` is the unpreconditioned tangent direction of a constrained
+    probe, the defect tail's second direction; None for an unconstrained one.
     """
 
     res: float
@@ -272,9 +270,9 @@ def _descend(
     candidate passes the Armijo test.  When no step clears the
     floating-point floor of the objective, a probe with a ``plain``
     direction first takes the defect tail: the same step, halved along
-    both directions, accepted on decrease of the measured defect.  Failing
-    that, a damped Newton polish ends the descent.  Stops once the
-    measured defect reaches opts.tol.
+    both directions, accepted on a sufficient decrease of the measured
+    defect.  Failing that, a damped Newton polish ends the descent.  Stops
+    once the measured defect reaches opts.tol.
 
     Returns (u, probe, iterations, history, stall): the iterate with the
     smallest measured defect and its probe, the iteration count, the
@@ -294,10 +292,11 @@ def _descend(
         return None
 
     def defect_tail(v, p, step):
-        """The first candidate whose measured defect is below p's, halving
-        step along the probe's direction and then along its plain one until
-        the step no longer moves v; returned with its probe and whether the
-        plain direction gave it."""
+        """The first candidate whose measured defect is below p's by the
+        relative margin the Newton polish asks, halving step along the
+        probe's direction and then along its plain one until the step no
+        longer moves v; returned with its probe and whether the plain
+        direction gave it."""
         for direction in (p.direction, p.plain):
             t = step
             for _ in range(_LS_MAX):
@@ -307,7 +306,7 @@ def _descend(
                 cand = project(moved)
                 if cand is not None:
                     pc = probe(cand)
-                    if pc.res < p.res:
+                    if pc.res < p.res * (1.0 - 1e-3):
                         return cand, pc, direction is p.plain
                 t *= 0.5
         return None
@@ -332,10 +331,7 @@ def _descend(
             step = float(np.dot(ds, ds)) / denom if denom > 0 else p.natural
         step = float(np.clip(step, 1e-14, 1e14))
         floor = 1e-15 * max(1.0, abs(J))
-        if p.plain is None:
-            slope = hn * float(np.dot(p.direction, p.direction))
-        else:
-            slope = hn * float(np.dot(p.grad, p.direction))
+        slope = hn * float(np.dot(p.grad, p.direction))
         found = line_search(u, J, p.direction, slope, step, floor)
         prev = (u, p.direction)
         probed = None
@@ -369,9 +365,8 @@ def solve_eigen(
     """First eigenpair of the modular-constrained energy minimization.
 
     Runs the descent core on { int G(|u|) = mu }: the energy is the
-    objective and renormalization onto the sphere the projection.  A family
-    free of atoms descends along the spectrally preconditioned direction; a
-    family that may have atoms takes the plain gradient.  Convergence is
+    objective and renormalization onto the sphere the projection, and the
+    direction is the spectrally preconditioned gradient.  Convergence is
     reached when the plain Euler-Lagrange defect, as :class:`EigenResult`
     describes its ``residual``, drops below opts.tol; a stalled descent
     raises :class:`StagnationError`.
@@ -383,8 +378,6 @@ def solve_eigen(
     u /= _modular_scale(u, hn, yf, mu)
 
     kern = get_kernel(grid, params)
-    # a quotient parked on an atom stalls the preconditioned direction
-    preconditioned = yf.atoms == ()
 
     def objective(v: np.ndarray) -> float:
         return energy(DiscreteFunction(grid, v), yf, params)
@@ -401,12 +394,10 @@ def solve_eigen(
         lam = float(np.dot(A2, v) / np.dot(gv, v))
         r = A2 - lam * gv
         res = float(np.max(np.abs(r)))
-        # descent direction: gradient projected along g(u), the tangent
+        # the plain direction: gradient projected along g(u), the tangent
         # direction of the modular sphere (coincides with r for powers)
         d = A2 - (float(np.dot(A2, gv)) / float(np.dot(gv, gv))) * gv
         natural = 1.0 / max(abs(lam), 1e-12)
-        if not preconditioned:
-            return _Probe(res, r, A2, d, natural, gv, lam)
         # the preconditioned gradient, made tangent to the sphere along P g
         PA2, Pg = kern.precondition(A2), kern.precondition(gv)
         dp = PA2 - (float(np.dot(PA2, gv)) / float(np.dot(Pg, gv))) * Pg

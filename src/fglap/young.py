@@ -116,9 +116,7 @@ class YoungFunction:
     through ``__call__`` which applies the even extension G(|t|).  The index
     bounds satisfy p_minus <= t*g(t)/G(t) <= p_plus on the sampled range,
     with 1 < p_minus <= p_plus < inf.  ``inverse_fn``, when present, is a
-    closed-form or tabulated inverse used to skip bisection.  ``atoms`` are
-    the arguments t > 0 where g may jump: () when g is continuous, None
-    when they are unknown, which callers treat as "may jump anywhere".
+    closed-form or tabulated inverse used to skip bisection.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -127,7 +125,6 @@ class YoungFunction:
     p_plus: float
     label: str
     inverse_fn: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
-    atoms: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
         if not (1.0 < self.p_minus <= self.p_plus < np.inf):
@@ -202,7 +199,7 @@ def make_power(p: float) -> YoungFunction:
     def inv(y):
         return y ** (1.0 / p)
 
-    return YoungFunction(ev, dv, p, p, f"power({p:g})", inv, atoms=())
+    return YoungFunction(ev, dv, p, p, f"power({p:g})", inv)
 
 
 # least exponent for which power_log's G is convex: the larger root of
@@ -248,7 +245,7 @@ def make_power_log(p: float) -> YoungFunction:
         out[pos] = tp ** (p - 1.0) * fac
         return out
 
-    return YoungFunction(ev, dv, p - 1.0, p + 1.0, f"power_log({p:g})", atoms=(1.0,))
+    return YoungFunction(ev, dv, p - 1.0, p + 1.0, f"power_log({p:g})")
 
 
 def make_piecewise_power(p: float, q: float) -> YoungFunction:
@@ -285,7 +282,7 @@ def make_piecewise_power(p: float, q: float) -> YoungFunction:
     def inv(y):
         return np.where(y <= 1.0, y ** (1.0 / p), y ** (1.0 / q))
 
-    return YoungFunction(ev, dv, p, q, f"piecewise_power({p:g},{q:g})", inv, atoms=(1.0,))
+    return YoungFunction(ev, dv, p, q, f"piecewise_power({p:g},{q:g})", inv)
 
 
 # ---------------------------------------------------------------------------
@@ -302,16 +299,10 @@ def combine(
 
     Sums and maxima inherit [min p_minus, max p_plus]; compositions multiply
     the bounds of their parts.  Results are generally unnormalized.
-
-    A sum's atoms are the union of its active parts' atoms, and a
-    composition of atom-free parts has none; a maximum, a composition with
-    an atom, and any part whose atoms are unknown give unknown atoms, since
-    the switch points and pullbacks that would join them are not located.
     """
     parts = list(parts)
     if not parts:
         raise YoungFunctionError("combine requires at least one part")
-    atoms = None
 
     if kind == "sum":
         if coefficients is None:
@@ -331,8 +322,6 @@ def combine(
         active = [f for c, f in zip(coeffs, parts) if c > 0]
         p_minus = min(f.p_minus for f in active)
         p_plus = max(f.p_plus for f in active)
-        if all(f.atoms is not None for f in active):
-            atoms = tuple(sorted(set().union(*(f.atoms for f in active))))
         label = "sum(" + ",".join(f"{c:g}*{f.label}" for c, f in zip(coeffs, parts)) + ")"
     elif kind == "max":
         if coefficients is not None:
@@ -372,17 +361,15 @@ def combine(
 
         p_minus = float(np.prod([f.p_minus for f in parts]))
         p_plus = float(np.prod([f.p_plus for f in parts]))
-        if all(f.atoms == () for f in parts):
-            atoms = ()
         label = "compose(" + ",".join(f.label for f in parts) + ")"
     else:
         raise YoungFunctionError(f"unknown combinator kind {kind!r}")
 
-    return YoungFunction(ev, dv, p_minus, p_plus, label, atoms=atoms)
+    return YoungFunction(ev, dv, p_minus, p_plus, label)
 
 
 def scale_young(yf: YoungFunction, c: float) -> YoungFunction:
-    """Value rescaling c * G.  Index bounds and atoms are unchanged."""
+    """Value rescaling c * G.  Index bounds are unchanged."""
     if not c > 0:
         raise YoungFunctionError("scale factor must be positive")
     c = float(c)
@@ -400,13 +387,11 @@ def scale_young(yf: YoungFunction, c: float) -> YoungFunction:
         yf.p_plus,
         f"{c:g}*{yf.label}",
         inv,
-        yf.atoms,
     )
 
 
 def normalize_young(yf: YoungFunction) -> YoungFunction:
-    """Rescale values by 1/G(1) so that G(1) = 1; indices and atoms are
-    preserved."""
+    """Rescale values by 1/G(1) so that G(1) = 1; indices are preserved."""
     g1 = float(yf.evaluate(np.array([1.0]))[0])
     if not np.isfinite(g1) or g1 <= 0:
         raise YoungFunctionError(f"cannot normalize {yf.label}: G(1) = {g1}")
@@ -498,8 +483,7 @@ def conjugate(yf: YoungFunction) -> YoungFunction:
     Evaluation solves the first-order condition g(a) = t by monotone
     bisection; the derivative of the result is the right-continuous
     generalized inverse of g.  Index bounds swap and conjugate:
-    (p_plus', p_minus') with r' = r / (r - 1).  The atoms are left unknown:
-    the conjugate's density jumps where g is flat, which is not located.
+    (p_plus', p_minus') with r' = r / (r - 1).
     """
 
     def maximizer(t):
