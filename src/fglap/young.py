@@ -7,9 +7,9 @@ provenance label.  On top of it the module provides
 * closed-form families (powers, powers with a logarithmic factor, piecewise
   powers) and combinators (weighted sums, maxima, compositions),
 * numeric inversion and convex conjugation,
-* the critical Sobolev conjugate, tabulated from the singular integral of
-  the inverse, together with the composed gauge functions used to bound
-  norms of level-set indicators,
+* the critical Sobolev conjugate, tabulated in sigma = G^{-1}(tau) from an
+  integral of G and its density alone, together with the composed gauge
+  functions used to bound norms of level-set indicators,
 * modulars, Luxemburg norms and a Chebyshev-type tail bound on weighted
   samples,
 * the smallness threshold that drives superlinear truncation recursions
@@ -557,7 +557,10 @@ class _LogLogTable:
     log y is the PCHIP cubic of log x (Fritsch & Carlson, SIAM J. Numer.
     Anal. 17, 1980), with coefficients formed and evaluated in the order
     scipy 1.17's ``PchipInterpolator`` and its ``derivative()`` use, so
-    values and derivatives match scipy's bit for bit.  ``derivative`` is
+    values and derivatives match scipy's bit for bit.  Given ``slope``, the
+    knot values of d log y / d log x, it is the cubic Hermite spline with
+    those slopes instead, scipy's ``CubicHermiteSpline``; monotone where
+    they are exact and the knots resolve log y.  ``derivative`` is
     the exact derivative of the interpolant itself (the interpolant is C1),
     so integrands tabulated here can be paired with gradients that match
     them to rounding error.
@@ -581,7 +584,7 @@ class _LogLogTable:
     decided once, at build.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray):
+    def __init__(self, x: np.ndarray, y: np.ndarray, slope: Optional[np.ndarray] = None):
         logx = np.log(np.asarray(x, dtype=float))
         logy = np.log(np.asarray(y, dtype=float))
         # scipy's input checks, with its messages
@@ -599,7 +602,7 @@ class _LogLogTable:
         if np.any(h <= 0):
             raise ValueError("`x` must be strictly increasing sequence.")
         m = np.diff(logy) / h
-        d = _pchip_slopes(h, m)
+        d = _pchip_slopes(h, m) if slope is None else np.asarray(slope, dtype=float)
         t = (d[:-1] + d[1:] - 2 * m) / h
         c3 = t / h
         c2 = (m - d[:-1]) / h - t
@@ -709,29 +712,30 @@ class _LogLogTable:
         return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
 
-# log knots of the tabulated integrals (the Ghat primitive of the operator
-# and the inverse of the Sobolev conjugate): 512 per decade over
-# [1e-15, 1e15], with a knot exactly at 1
+# log knots in sigma of the tabulated integrals (the Ghat primitive of the
+# operator and W = (G*)^{-1} o G of the Sobolev conjugate): 512 per decade
+# over [1e-15, 1e15], with a knot exactly at 1
 _KNOTS = np.logspace(-15.0, 15.0, 30 * 512 + 1)
 
 
 # integrand points per block of a panel integral: the integrand's
-# temporaries (a vector bisection's brackets, for the Sobolev conjugate)
-# then stay a few MiB, whatever the number of knots
+# temporaries then stay a few MiB, whatever the number of knots
 _PANEL_BLOCK = 1 << 15
 
 
-def _panel_integral(integrand: Callable[[np.ndarray], np.ndarray], head: float) -> np.ndarray:
+def _panel_integral(
+    integrand: Callable[[np.ndarray], np.ndarray], head: float, knots: np.ndarray = _KNOTS
+) -> np.ndarray:
     """head plus the cumulative 8-point Gauss panel sums of ``integrand``
-    over the intervals between consecutive ``_KNOTS``: the integral from 0
+    over the intervals between consecutive ``knots``: the integral from 0
     to every knot, given the integral ``head`` from 0 to the first.
 
     ``integrand`` must act elementwise: it sees the Gauss points in blocks
     of about ``_PANEL_BLOCK``, and the panel sums are formed once, from
     every value."""
     x, w = _gauss(8)
-    lo = _KNOTS[:-1]
-    hi = _KNOTS[1:]
+    lo = knots[:-1]
+    hi = knots[1:]
     vals = np.empty((len(lo), len(x)))
     rows = _PANEL_BLOCK // len(x)
     for k in range(0, len(lo), rows):
@@ -742,46 +746,61 @@ def _panel_integral(integrand: Callable[[np.ndarray], np.ndarray], head: float) 
     return head + np.concatenate(([0.0], np.cumsum(segs)))
 
 
-def _head_integral(ginv, tau0: float, beta: float, s_over_n: float) -> float:
-    """Integral of G^{-1}(tau) * tau**(-1 - s/n) over (0, tau0].
+def _conjugate_integrand(yf: YoungFunction, s_over_n: float):
+    """x -> x * g(x) * G(x)**(-1 - s/n), the integrand of
+    W(sigma) = (G*)^{-1}(G(sigma)) in sigma, formed as the elasticity
+    x g / G times G**(-s/n) so that it stays in range wherever G is a
+    normal float."""
 
-    Substituting sigma = tau**beta with beta = 1/p_plus - s/n turns the
-    worst-admissible integrand into a bounded one, so geometric bisection
-    toward sigma = 0 with Gauss panels gains a factor ~2 per octave even for
-    growth exponents near the embedding threshold.  Non-decaying panel
-    contributions flag the integral as divergent.
+    def integrand(x):
+        G = yf.evaluate(x)
+        return x * yf.derivative(x) / G * G ** -s_over_n
+
+    return integrand
+
+
+def _head_integral(yf: YoungFunction, sigma0: float, s_over_n: float) -> float:
+    """W(sigma0): the integral of x * g(x) * G(x)**(-1 - s/n) over (0, sigma0].
+
+    Substituting x = sigma0 * y**(1/b) with b = 1 - p_plus * s/n turns the
+    integrand into a bounded function of y on (0, 1], constant for a power
+    at p_plus, so Gauss panels on the halvings of y gain at least a factor 2
+    per panel.  The sum stops once a panel adds less than 1e-16 of the total.
+    Where G at a panel's lower end leaves the normal range toward 0, the
+    rest is the power law's, q / (1 - q s/n) * x * G(x)**(-s/n) at the
+    panel's upper end x, with q = x g(x) / G(x) the elasticity there; that
+    closure is exact for a power and diverges where q s/n >= 1.
     """
-    if not beta > 0:
+    b = 1.0 - yf.p_plus * s_over_n
+    if not b > 0:
         raise QuadratureError("nonpositive head exponent; the integral diverges")
+    integrand = _conjugate_integrand(yf, s_over_n)
     x, w = _gauss(8)
-    expo = -s_over_n / beta - 1.0
     total = 0.0
-    hi = tau0**beta
-    prev = None
-    stall = 0
-    for _ in range(400):
-        lo = hi * 0.5
-        mid = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
+    hi = 1.0
+    for _ in range(2000):
+        lo = 0.5 * hi
+        y = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
         with np.errstate(under="ignore"):
-            tau = mid ** (1.0 / beta)
-            contrib = float(
-                np.sum(w * ginv(tau) * mid**expo) * 0.5 * (hi - lo) / beta
-            )
+            xs = sigma0 * np.append(y, lo) ** (1.0 / b)
+            if not yf.evaluate(xs[-1:])[0] >= np.finfo(float).tiny:
+                break
+        contrib = float(np.sum(w * integrand(xs[:-1]) * xs[:-1] / y) * 0.5 * (hi - lo) / b)
         total += contrib
-        if prev is not None and prev > 0 and contrib >= prev:
-            stall += 1
-            if stall > 20:
-                raise QuadratureError(
-                    "integral of the inverse against the singular kernel "
-                    "diverges near 0"
-                )
-        else:
-            stall = 0
-        if contrib < max(1e-12, abs(total) * 1e-15):
+        if contrib < 1e-16 * total:
             return total
-        prev = contrib
         hi = lo
-    raise QuadratureError("singular head integral failed to converge")
+    else:
+        raise QuadratureError("singular head integral failed to converge")
+    # the previous panel's lower end, or sigma0: G is a normal float there
+    top = np.array([sigma0 * hi ** (1.0 / b)])
+    G = yf.evaluate(top)[0]
+    q = float(top[0] * yf.derivative(top)[0] / G)
+    if not q * s_over_n < 1.0:
+        raise QuadratureError(
+            "integral of the inverse against the singular kernel diverges near 0"
+        )
+    return total + q / (1.0 - q * s_over_n) * float(top[0] * G**-s_over_n)
 
 
 def sobolev_conjugate(
@@ -793,10 +812,14 @@ def sobolev_conjugate(
     int_0^t G^{-1}(tau) * tau**(-(n+s)/n) dtau.
 
     Requires s * p_plus < n, which makes the integrand integrable at 0 and
-    the integral divergent at infinity.  The inverse is tabulated on a log
-    grid (geometric grading toward 0 for the singular head), then inverted
-    through monotone log-log interpolation.  ``inverse_fn`` of the result is
-    the tabulated integral itself.  Where G* overflows to inf, its density
+    the integral divergent at infinity.  The substitution tau = G(sigma)
+    takes the inverse of G out of the integral:
+    W(sigma) = (G*)^{-1}(G(sigma)) is the integral of
+    x * g(x) * G(x)**(-1 - s/n) over (0, sigma], tabulated at the log knots
+    sigma_k where G is a normal float.  The inverse table maps G(sigma_k)
+    to W_k and the forward table W_k to G(sigma_k): log-log cubics with the
+    exact knot slopes and power-law extrapolation.  ``inverse_fn`` of the
+    result is the inverse table.  Where G* overflows to inf, its density
     reads inf.
     """
     if not (0.0 < s < 1.0):
@@ -812,14 +835,24 @@ def sobolev_conjugate(
     def ginv(tau):
         return np.asarray(inverse(yf, tau), dtype=float)
 
-    beta = 1.0 / yf.p_plus - s_over_n
-    head = _head_integral(ginv, _KNOTS[0], beta, s_over_n)
+    # the knots where G, and with it x * g <= p_plus * G, is a normal float:
+    # a contiguous run, since G increases
+    with np.errstate(under="ignore", over="ignore"):
+        gk = yf.evaluate(_KNOTS)
+        keep = (gk >= np.finfo(float).tiny) & (yf.p_plus * gk < np.inf)
+    if keep.sum() < 2:
+        raise QuadratureError(f"{yf.label} leaves the floating-point range on the knots")
+    knots, gk = _KNOTS[keep], gk[keep]
+    head = _head_integral(yf, knots[0], s_over_n)
     if head <= 0:
         raise QuadratureError("vanishing head integral; malformed growth function")
-    wtab = _panel_integral(lambda tau: ginv(tau) * tau ** (-1.0 - s_over_n), head)
+    wtab = _panel_integral(_conjugate_integrand(yf, s_over_n), head, knots)
 
-    inv_table = _LogLogTable(_KNOTS, wtab)      # tau -> (G*)^{-1} value
-    fwd_table = _LogLogTable(wtab, _KNOTS)      # t -> G*(t)
+    # d log W / d log G = sigma * G**(-s/n) / W at every knot: continuous
+    # where g jumps, unlike the secants PCHIP would estimate it from
+    slope = knots * gk ** -s_over_n / wtab
+    inv_table = _LogLogTable(gk, wtab, slope)           # tau -> (G*)^{-1} value
+    fwd_table = _LogLogTable(wtab, gk, 1.0 / slope)     # t -> G*(t)
 
     p_star_minus = n * yf.p_minus / (n - s * yf.p_minus)
     p_star_plus = n * yf.p_plus / (n - s * yf.p_plus)
@@ -897,21 +930,27 @@ def embedding_composition(
     """The composition G* o G^{-1}, itself a Young function.
 
     Its Luxemburg norm bounds norms of superpositions G(u) in terms of the
-    critical norm of u.  The elasticity of the composition at t is the ratio
-    of the elasticities of G* and G at the common argument G^{-1}(t), so the
-    index bounds are recorded from a dense sample of that ratio; the crude
-    quotient of the individual extremes can dip below 1 for families with a
-    wide index spread even though the composition is a Young function.
+    critical norm of u.  It is tabulated as the pairs (G(sigma), G*(sigma))
+    on a geometric sigma grid from G^{-1}(1e-15) to G^{-1}(1e15), so
+    building it takes two scalar inverses of G.  The elasticity of the
+    composition at G(sigma) is the ratio of the elasticities of G* and G at
+    sigma, so the index bounds are recorded from that ratio at the grid's
+    sigma with G(sigma) in [1e-8, 1e8]; the crude quotient of the
+    individual extremes can dip below 1 for families with a wide index
+    spread even though the composition is a Young function.
     """
     if gstar is None:
         gstar = sobolev_conjugate(yf, s, n)
 
-    # tabulate eagerly: families without a closed-form inverse would
-    # otherwise re-run a vector bisection inside every norm evaluation
-    knots = np.logspace(-15.0, 15.0, 30 * 256 + 1)
-    table = _LogLogTable(
-        knots, np.asarray(gstar(np.asarray(inverse(yf, knots), dtype=float)))
-    )
+    # 256 * p_plus knots a decade of sigma, so at least 256 a decade of tau,
+    # with one at sigma = 1, where the density of every built-in family
+    # jumps, so that no cubic straddles the kink of H there
+    per_decade = math.ceil(256 * yf.p_plus)
+    ends = np.log10([inverse(yf, 1e-15), inverse(yf, 1e15)]) * per_decade
+    sig = 10.0 ** (np.arange(np.floor(ends[0]), np.ceil(ends[1]) + 1) / per_decade)
+    tau = yf.evaluate(sig)
+    # tabulated eagerly: a value of H then inverts nothing
+    table = _LogLogTable(tau, np.asarray(gstar(sig)))
 
     def ev(t):
         return np.asarray(table(t), dtype=float)
@@ -924,7 +963,7 @@ def embedding_composition(
         out[pos] = gstar.derivative(y[pos]) / gy[pos]
         return out
 
-    ys = np.asarray(inverse(yf, np.logspace(-8.0, 8.0, 3201)), dtype=float)
+    ys = sig[(tau >= 1e-8) & (tau <= 1e8)]
     ratios = gstar.ratio(ys) / yf.ratio(ys)
     p_minus = float(np.min(ratios))
     p_plus = float(np.max(ratios))

@@ -1,27 +1,33 @@
 """The log-log tables behind Ghat and the critical conjugate, against
-scipy's PCHIP interpolator as a bitwise oracle."""
+scipy's PCHIP interpolator as a bitwise oracle, or its cubic Hermite
+spline for the tables built with exact knot slopes."""
 
 import copy
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
-from fglap import embedding_composition, inverse, make_power_log, sobolev_conjugate
+from fglap import embedding_composition, make_power_log, sobolev_conjugate
 from fglap import young
 from fglap.young import _KNOTS, _gauss, _hat_table, _panel_integral
 
 
 class _ScipyTable:
     """The scipy-backed table the numpy one replaced: scipy's PCHIP of
-    log y against log x inside the knots, the end secants' power laws
-    outside, zero at nonpositive arguments."""
+    log y against log x inside the knots (its cubic Hermite spline where
+    the knot slopes are given), the end secants' power laws outside, zero
+    at nonpositive arguments."""
 
-    def __init__(self, logx, logy):
+    def __init__(self, logx, logy, slope=None):
         self.logx = logx
         self.logy = logy
-        self.interp = PchipInterpolator(logx, logy, extrapolate=False)
+        if slope is None:
+            self.interp = PchipInterpolator(logx, logy, extrapolate=False)
+        else:
+            self.interp = CubicHermiteSpline(logx, logy, slope, extrapolate=False)
         self.dinterp = self.interp.derivative()
         self.slope_lo = (logy[1] - logy[0]) / (logx[1] - logx[0])
         self.slope_hi = (logy[-1] - logy[-2]) / (logx[-1] - logx[-2])
@@ -70,13 +76,18 @@ def _logy(table):
     return table._coef[1:, 1]
 
 
+# the knot slopes a recorded table was built with, None for PCHIP's own
+_SLOPES = weakref.WeakKeyDictionary()
+
+
 def _recorded_tables(build):
     """Every _LogLogTable that ``build()`` constructs."""
     built = []
 
     class Recording(young._LogLogTable):
-        def __init__(self, x, y):
-            super().__init__(x, y)
+        def __init__(self, x, y, slope=None):
+            super().__init__(x, y, slope)
+            _SLOPES[self] = slope
             built.append(self)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -147,7 +158,9 @@ def _bits(a):
 )
 def test_table_is_bitwise_scipy_pchip(tables, label):
     table = tables[label]
-    oracle = _ScipyTable(_logx(table), _logy(table))
+    # the critical conjugate's two tables take exact knot slopes
+    assert (_SLOPES.get(table) is not None) == label.startswith("gstar")
+    oracle = _ScipyTable(_logx(table), _logy(table), _SLOPES.get(table))
     rng = np.random.default_rng(17)
     pts = _probe_points(table, rng)
     square = np.exp(rng.uniform(_logx(table)[0] - 1.0, _logx(table)[-1] + 1.0, (37, 23)))
@@ -302,11 +315,9 @@ def test_blocked_panel_integral_is_bitwise_one_shot(families, embedding):
     s_over_n = s / float(n)
     integrands = {
         "Ghat": lambda t: summix.evaluate(t) / t,
-        # the Sobolev conjugate's integrand: a vector bisection, since the
-        # sum has no closed-form inverse
-        "gstar": lambda tau: np.asarray(inverse(summix, tau)) * tau ** (-1.0 - s_over_n),
+        # the Sobolev conjugate's integrand in sigma
+        "gstar": young._conjugate_integrand(summix, s_over_n),
     }
-    assert summix.inverse_fn is None
     for label, integrand in integrands.items():
         sizes = []
 

@@ -17,6 +17,7 @@ from fglap import (
     chebyshev_bound,
     combine,
     conjugate,
+    embedding_composition,
     indicator_gauge,
     inverse,
     iterate_recursion,
@@ -515,6 +516,73 @@ def test_sobolev_conjugate_density_where_it_overflows(families, embedding, gstar
     with np.errstate(over="ignore"):
         ref = _split_conjugate_density(yf, gstar, t[~big], s / n)
     assert np.array_equal(got[~big].view(np.uint64), ref.view(np.uint64))
+
+
+_CLOSED_FORM_CASES = [
+    (p, s, n)
+    for p in (1.2, 1.5, 2.0, 3.0, 3.5)
+    for s, n in ((0.1, 1), (0.4, 1), (0.5, 1), (0.1, 2), (0.45, 2), (0.5, 2))
+    if s * p < n
+] + [(30.0, 0.01, 2)]  # G underflows and overflows on the outer knots
+
+
+def _normal(x):
+    return (x >= np.finfo(float).tiny) & (x < np.inf)
+
+
+@pytest.mark.parametrize("p, s, n", _CLOSED_FORM_CASES)
+def test_sobolev_conjugate_power_closed_forms(p, s, n):
+    # for G = t**p the inverse integral is tau**a / a with a = 1/p - s/n,
+    # so G*(t) = (a t)**(1/a) and G* o G^{-1}(tau) = (a tau**(1/p))**(1/a)
+    G = make_power(p)
+    a = 1.0 / p - s / n
+    gstar = sobolev_conjugate(G, s, n)
+    comp = embedding_composition(G, s, n, gstar)
+    t = np.logspace(-6.0, 6.0, 4001)
+    with np.errstate(under="ignore", over="ignore"):
+        want = {
+            "G*": (a * t) ** (1.0 / a),
+            "(G*)^-1": t**a / a,
+            "H": (a * t ** (1.0 / p)) ** (1.0 / a),
+        }
+        got = {"G*": gstar(t), "(G*)^-1": gstar.inverse_fn(t), "H": comp(t)}
+    for label, exact in want.items():
+        ok = _normal(exact)
+        assert ok.sum() > 1000, label
+        err = np.max(np.abs(got[label][ok] / exact[ok] - 1.0))
+        assert err <= 1e-9, (label, err)
+
+
+def test_sobolev_conjugate_jump_family_exact():
+    # G = t**2 below 1 and t**3 above at s/n = 1/4: (G*)^{-1}(tau) is
+    # 4 tau**(1/4) below 1 and 12 tau**(1/12) - 8 above, so G*(t) is
+    # (t/4)**4 below 4 and ((t + 8)/12)**12 above.  The points crowd the
+    # kink t = 4, where G*'s second derivative jumps
+    G = make_piecewise_power(2.0, 3.0)
+    gstar = sobolev_conjugate(G, 0.5, 2)
+    t = np.concatenate([np.logspace(-6.0, 4.0, 4001), np.linspace(3.9, 4.1, 2001)])
+    exact = np.where(t < 4.0, (t / 4.0) ** 4, ((t + 8.0) / 12.0) ** 12)
+    err = np.abs(gstar(t) / exact - 1.0)
+    assert np.max(err) <= 1e-8, (np.max(err), t[np.argmax(err)])
+    tau = np.logspace(-6.0, 6.0, 2001)
+    exact = np.where(tau < 1.0, 4.0 * tau**0.25, 12.0 * tau ** (1.0 / 12.0) - 8.0)
+    assert np.max(np.abs(gstar.inverse_fn(tau) / exact - 1.0)) <= 1e-8
+
+
+def test_sobolev_conjugate_build_runs_no_vector_bisection(families, embedding, monkeypatch):
+    # G* is integrated in sigma = G^{-1}(tau), so its build inverts nothing
+    targets = []
+    bisect = young._bisect_increasing
+
+    def counted(fn, target):
+        targets.append(np.shape(target))
+        return bisect(fn, target)
+
+    monkeypatch.setattr(young, "_bisect_increasing", counted)
+    for name, yf in families.items():
+        s, n = embedding[name]
+        sobolev_conjugate(yf, s, n)
+        assert targets == [], name
 
 
 def test_sobolev_conjugate_requires_subcritical_growth():
