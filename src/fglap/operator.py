@@ -468,10 +468,9 @@ def _energy_hessian(
     yf: YoungFunction,
     params: OperatorParams,
     u: np.ndarray,
-    out: np.ndarray,
 ) -> np.ndarray:
     """Dense second derivative of the modular energy at u, formed in row
-    blocks and written into the top-left N x N corner of ``out``.
+    blocks.
 
     Pair terms use secant density slopes, so a quotient parked on a density
     jump receives a huge curvature entry that pins it in Newton steps; the
@@ -480,7 +479,7 @@ def _energy_hessian(
     kern = get_kernel(grid, params)
     hn = grid.node_weight
     N = len(u)
-    H = out[:N, :N]
+    H = np.empty((N, N))
     for rows in _row_blocks(N):
         qs = kern.qs_rows(rows)
         wfull = hn * kern.wop_rows(rows) / np.where(qs > 0, qs, 1.0)

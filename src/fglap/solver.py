@@ -1,9 +1,8 @@
 """Constrained eigenproblem and semilinear solves, plus truncation diagnostics.
 
 The eigen solve and the fixed-source solve share one descent core:
-Barzilai-Borwein trial steps, Armijo backtracking through a projection, and
-a damped Newton polish once the line search stalls at the floating-point
-floor.  The eigen solver minimizes the nonlocal modular energy over the
+Barzilai-Borwein trial steps and Armijo backtracking through a projection.
+The eigen solver minimizes the nonlocal modular energy over the
 modular sphere { int G(|u|) = mu }, projecting by renormalization onto the
 sphere.
 
@@ -15,9 +14,10 @@ h**n grad E . d.  The iteration count of the plain gradient grows with N
 at s >= 1/2, and P takes the operator's stiffness out of it.  Where the
 energy no longer resolves a step, the eigen solve backtracks the same step
 on a sufficient decrease of the measured defect, along d and then along
-the plain direction, before it falls back on the dense Newton polish.
-The fixed-source descent takes the plain gradient, whose slope
-h**n grad E . d is h**n d . d.  The reported eigenvalue is the ratio of
+the plain direction, and stalls if neither gives one.  The fixed-source
+descent takes the plain gradient, whose slope h**n grad E . d is
+h**n d . d, and ends with a damped Newton polish once its line search
+stalls at the floating-point floor.  The reported eigenvalue is the ratio of
 the weak pairing <A u, u> (the double sum of g(quotient) against
 quotients of u) to the zero-order pairing sum h**n g(u) u.  For every
 family the stationarity measure is the plain Euler-Lagrange defect
@@ -179,10 +179,9 @@ class _Probe(NamedTuple):
     vector that Newton drives to zero; ``grad`` is the objective gradient
     and ``direction`` the descent direction, all in operator units.
     ``natural`` is the step taken when no Barzilai-Borwein step is
-    available.  ``normal`` is the normal of the constraint surface and
-    ``lam`` its multiplier, both None for an unconstrained objective.
-    ``plain`` is the unpreconditioned tangent direction of a constrained
-    probe, the defect tail's second direction; None for an unconstrained one.
+    available.  ``lam`` is the multiplier of the constraint and ``plain``
+    the unpreconditioned tangent direction of a constrained probe, the
+    defect tail's second direction; both None for an unconstrained one.
     """
 
     res: float
@@ -190,7 +189,6 @@ class _Probe(NamedTuple):
     grad: np.ndarray
     direction: np.ndarray
     natural: float
-    normal: Optional[np.ndarray] = None
     lam: Optional[float] = None
     plain: Optional[np.ndarray] = None
 
@@ -206,12 +204,11 @@ def _newton_polish(
     u: np.ndarray,
     p: _Probe,
     probe: Callable[[np.ndarray], _Probe],
-    project: _Projection,
     tol: float,
 ) -> tuple[np.ndarray, _Probe]:
-    """Damped Newton steps on the stationarity system, the energy Hessian
-    bordered by the constraint normal when there is one.  Starts from u,
-    whose probe p the caller has already taken.
+    """Damped Newton steps on the stationarity system of an unconstrained
+    objective, whose Hessian is the energy's.  Starts from u, whose probe p
+    the caller has already taken.
 
     Energy-comparison line searches cannot resolve defects below the square
     root of machine precision; the Newton correction can.  Steps are
@@ -223,29 +220,20 @@ def _newton_polish(
     for _ in range(_POLISH_STEPS):
         if p.res <= tol:
             break
-        # one matrix: the Hessian, bordered by the normal when there is one
-        K = np.empty((n + 1, n + 1) if p.normal is not None else (n, n))
-        H = _energy_hessian(grid, yf, params, u, K)
+        H = _energy_hessian(grid, yf, params, u)
         rhs = -hn * p.defect
-        if p.normal is not None:
-            bv = hn * p.normal
-            K[:n, n] = bv
-            K[n, :n] = bv
-            K[n, n] = 0.0
-            rhs = np.concatenate([rhs, [0.0]])
         try:
-            delta = np.linalg.solve(K, rhs)[:n]
+            delta = np.linalg.solve(H, rhs)
         except np.linalg.LinAlgError:
-            K[:n, :n] += 1e-10 * np.trace(H) / n * np.eye(n)
-            delta = np.linalg.lstsq(K, rhs, rcond=None)[0][:n]
+            H += 1e-10 * np.trace(H) / n * np.eye(n)
+            delta = np.linalg.lstsq(H, rhs, rcond=None)[0]
         damp = 1.0
         for _ in range(12):
-            cand = project(u + damp * delta)
-            if cand is not None:
-                pc = probe(cand)
-                if pc.res < p.res * (1.0 - 1e-3 * damp):
-                    u, p = cand, pc
-                    break
+            cand = u + damp * delta
+            pc = probe(cand)
+            if pc.res < p.res * (1.0 - 1e-3 * damp):
+                u, p = cand, pc
+                break
             damp *= 0.5
         else:
             break
@@ -268,16 +256,17 @@ def _descend(
     trial steps along the probe's descent direction (the natural step when
     the curvature estimate is not positive), halved until the projected
     candidate passes the Armijo test.  When no step clears the
-    floating-point floor of the objective, a probe with a ``plain``
-    direction first takes the defect tail: the same step, halved along
+    floating-point floor of the objective, a constrained probe, which has a
+    ``plain`` direction, takes the defect tail: the same step, halved along
     both directions, accepted on a sufficient decrease of the measured
-    defect.  Failing that, a damped Newton polish ends the descent.  Stops
-    once the measured defect reaches opts.tol.
+    defect; a constrained descent that gets nothing from it stalls.  An
+    unconstrained one ends with a damped Newton polish instead.  Stops once
+    the measured defect reaches opts.tol.
 
     Returns (u, probe, iterations, history, stall): the iterate with the
     smallest measured defect and its probe, the iteration count, the
-    objective after every accepted step, and the defect of the polished
-    iterate when the descent stalled above opts.tol (None otherwise).
+    objective after every accepted step, and the last defect when the
+    descent stalled above opts.tol (None otherwise).
     """
     hn = grid.node_weight
 
@@ -337,13 +326,15 @@ def _descend(
         probed = None
         if found is None and p.plain is not None:
             tail = defect_tail(u, p, step)
-            if tail is not None:
-                cand, probed, plain = tail
-                found = (cand, objective(cand))
-                if plain:
-                    prev = None  # the direction family changed
+            if tail is None:
+                stall = p.res
+                break
+            cand, probed, plain = tail
+            found = (cand, objective(cand))
+            if plain:
+                prev = None  # the direction family changed
         if found is None:
-            polished = _newton_polish(grid, yf, params, u, p, probe, project, opts.tol)
+            polished = _newton_polish(grid, yf, params, u, p, probe, opts.tol)
             if polished[1].res < best[1].res:
                 best = polished
             if polished[1].res > opts.tol:
@@ -402,7 +393,7 @@ def solve_eigen(
         PA2, Pg = kern.precondition(A2), kern.precondition(gv)
         dp = PA2 - (float(np.dot(PA2, gv)) / float(np.dot(Pg, gv))) * Pg
         natural *= float(np.linalg.norm(d)) / float(np.linalg.norm(dp))
-        return _Probe(res, r, A2, dp, natural, gv, lam, d)
+        return _Probe(res, r, A2, dp, natural, lam, d)
 
     u, p, it, history, stall = _descend(grid, yf, params, u, objective, project, probe, opts)
     if p.res <= opts.tol:

@@ -585,9 +585,10 @@ def test_failed_ladder_leaves_no_reference_cycle(monkeypatch):
 def test_superposition_check_peak_memory():
     # the check builds each family's critical conjugate and composition
     # itself and drops them before the next family, and the tables are
-    # built in blocks.  Peaks measured here under tracemalloc: 3.6 MiB;
-    # 10.3 MiB with every family's tables kept for the whole run, 10.7 MiB
-    # with unblocked builds, 21.6 MiB with both
+    # built in blocks.  Peaks measured under tracemalloc: 3.6 MiB; 10.3 MiB
+    # with every family's tables kept for the whole run, 10.7 MiB with
+    # unblocked builds, 21.6 MiB with both.  Since the composition takes
+    # every sigma knot of the conjugate, the peak reads 5.3 MiB
     tracemalloc.start()
     try:
         rep = run_verify(seed=0, only=["superposition_norm_bound"])

@@ -1,6 +1,6 @@
-"""The log-log tables behind Ghat and the critical conjugate, against
-scipy's PCHIP interpolator as a bitwise oracle, or its cubic Hermite
-spline for the tables built with exact knot slopes."""
+"""The log-log tables behind Ghat, the critical conjugate and its
+composition, against scipy's PCHIP interpolator as a bitwise oracle, or
+its cubic Hermite spline for the tables built with exact knot slopes."""
 
 import copy
 import tracemalloc
@@ -17,9 +17,10 @@ from fglap.young import _KNOTS, _gauss, _hat_table, _panel_integral
 
 class _ScipyTable:
     """The scipy-backed table the numpy one replaced: scipy's PCHIP of
-    log y against log x inside the knots (its cubic Hermite spline where
-    the knot slopes are given), the end secants' power laws outside, zero
-    at nonpositive arguments."""
+    log y against log x inside the knots, with the end secants' power laws
+    outside; where the knot slopes are given, its cubic Hermite spline,
+    with the end slopes' power laws outside.  Zero at nonpositive
+    arguments."""
 
     def __init__(self, logx, logy, slope=None):
         self.logx = logx
@@ -29,8 +30,11 @@ class _ScipyTable:
         else:
             self.interp = CubicHermiteSpline(logx, logy, slope, extrapolate=False)
         self.dinterp = self.interp.derivative()
-        self.slope_lo = (logy[1] - logy[0]) / (logx[1] - logx[0])
-        self.slope_hi = (logy[-1] - logy[-2]) / (logx[-1] - logx[-2])
+        if slope is None:
+            self.slope_lo = (logy[1] - logy[0]) / (logx[1] - logx[0])
+            self.slope_hi = (logy[-1] - logy[-2]) / (logx[-1] - logx[-2])
+        else:
+            self.slope_lo, self.slope_hi = slope[0], slope[-1]
 
     def _eval(self, flat):
         val = np.zeros_like(flat)
@@ -76,8 +80,10 @@ def _logy(table):
     return table._coef[1:, 1]
 
 
-# the knot slopes a recorded table was built with, None for PCHIP's own
+# the knot slopes a recorded table was built with, None for PCHIP's own,
+# and its separate left slopes, None where it has none
 _SLOPES = weakref.WeakKeyDictionary()
+_LEFT = weakref.WeakKeyDictionary()
 
 
 def _recorded_tables(build):
@@ -85,9 +91,10 @@ def _recorded_tables(build):
     built = []
 
     class Recording(young._LogLogTable):
-        def __init__(self, x, y, slope=None):
-            super().__init__(x, y, slope)
+        def __init__(self, x, y, slope=None, left=None):
+            super().__init__(x, y, slope, left)
             _SLOPES[self] = slope
+            _LEFT[self] = left
             built.append(self)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -117,6 +124,15 @@ def tables(families, embedding):
         y = rng.choice([0.5, 1.0, 2.0], size=len(x)) * rng.uniform(1.0, 1.5, len(x))
         out[label] = young._LogLogTable(x, y)
     out["two_knots"] = young._LogLogTable(np.array([0.5, 4.0]), np.array([3.0, 0.25]))
+    # increasing values with random knot slopes, three of which differ on
+    # the left
+    x = np.logspace(-3.0, 3.0, 41)
+    y = np.cumsum(rng.uniform(0.5, 2.0, len(x)))
+    slope = rng.uniform(0.0, 3.0, len(x))
+    left = slope.copy()
+    left[[7, 19, 30]] = rng.uniform(0.0, 3.0, 3)
+    (table,) = _recorded_tables(lambda: young._LogLogTable(x, y, slope, left))
+    out["random_left"] = table
     return out
 
 
@@ -150,7 +166,6 @@ def _bits(a):
         "gstar:power3.5",
         "gstar_inverse:summix",
         "gstar:summix",
-        "composition:piecewise2_3",
         "random",
         "random_uneven",
         "two_knots",
@@ -172,6 +187,33 @@ def test_table_is_bitwise_scipy_pchip(tables, label):
     x = float(pts[7])
     assert table(x) == float(oracle(x))
     assert table.derivative(x) == float(oracle.derivative(x))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("label", ["composition:piecewise2_3", "random_left"])
+def test_left_slope_table_is_bitwise_scipy_on_each_side(tables, label):
+    # between two knots whose left slopes differ from their own, the table
+    # is scipy's cubic Hermite spline through the knots of that side, with
+    # the upper end knot's left slope; each side is checked on its own,
+    # up to its upper end knot, where the next side starts
+    table = tables[label]
+    slope, left = _SLOPES[table], _LEFT[table]
+    cuts = np.flatnonzero(left[1:-1] != slope[1:-1]) + 1
+    assert len(cuts) == (1 if label.startswith("composition") else 3)
+    ends = np.concatenate([[0], cuts, [len(slope) - 1]])
+    logx, logy = _logx(table), _logy(table)
+    rng = np.random.default_rng(17)
+    pts = _probe_points(table, rng)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        side = np.searchsorted(logx[cuts], np.log(pts), "right")
+    for k, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])):
+        knot_slopes = np.concatenate([slope[lo:hi], left[hi : hi + 1]])
+        oracle = _ScipyTable(logx[lo : hi + 1], logy[lo : hi + 1], knot_slopes)
+        x = pts[side == k]
+        assert len(x) > 100
+        assert np.array_equal(_bits(table(x)), _bits(oracle(x))), k
+        assert np.array_equal(_bits(table.derivative(x)), _bits(oracle.derivative(x))), k
 
 
 def _one_shot_eval(table, flat, derivative):

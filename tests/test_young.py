@@ -451,71 +451,54 @@ def test_sobolev_conjugate_slope():
     assert abs(slope - 4.0) < 0.01
 
 
-def _plain_conjugate_density(yf, gstar, t, s_over_n):
-    """G*'(t) = 1 / (G^{-1}(tau) * tau**(-1 - s/n)) at tau = G*(t), formed
-    as written."""
-    tau = np.asarray(gstar(t))
-    out = np.zeros_like(tau)
-    pos = tau > 0
-    out[pos] = 1.0 / (np.asarray(inverse(yf, tau[pos])) * tau[pos] ** (-1.0 - s_over_n))
-    return out
+def _normal(x):
+    return (x >= np.finfo(float).tiny) & (x < np.inf)
+
+
+def _central_difference(f, t):
+    """(f(t + h) - f(t - h)) / 2h with h = 1e-6 t."""
+    h = 1e-6 * t
+    return (f(t + h) - f(t - h)) / (2.0 * h)
 
 
 def test_sobolev_conjugate_density_survives_weight_underflow(families, embedding, gstars):
+    # 1 / (G^{-1}(tau) * tau**(-1 - s/n)) is no longer how the density is
+    # formed: at t = 1e11 and 1e12 its weight tau**(-1.25) is subnormal and
+    # that formula read inf.  The forward table's derivative is finite
+    # there and is p* G*/t, as everywhere for a power
     yf, gstar = families["power3.5"], gstars["power3.5"]
     s, n = embedding["power3.5"]
     assert (s, n) == (0.5, 2)
     p_star = n * yf.p_plus / (n - s * yf.p_plus)
-    # tau**(-1.25) is subnormal here, and the plain formula returns inf
     t = np.array([1e11, 1e12])
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        assert np.all(np.isinf(_plain_conjugate_density(yf, gstar, t, s / n)))
+    assert np.all(gstar(t) ** -1.25 < np.finfo(float).tiny)
     got = gstar.g(t)
     assert np.all(np.isfinite(got))
-    np.testing.assert_allclose(got, p_star * gstar(t) / t, rtol=1e-6)
-    # where the weight stays normal, the density is the plain formula's bits
-    t = np.logspace(-14.0, 10.0, 2001)
-    with np.errstate(over="ignore"):
-        plain = _plain_conjugate_density(yf, gstar, t, s / n)
-    assert np.array_equal(gstar.g(t).view(np.uint64), plain.view(np.uint64))
-
-
-def _split_conjugate_density(yf, gstar, t, s_over_n):
-    """The density as formed before overflow of G* was handled: the plain
-    formula where the weight tau**(-1 - s/n) is normal, and
-    (tau / G^{-1}(tau)) * tau**(s/n) where it is not."""
-    tau = np.asarray(gstar(t))
-    out = np.zeros_like(tau)
-    pos = tau > 0
-    tp = tau[pos]
-    gi = np.asarray(inverse(yf, tp))
-    with np.errstate(over="ignore"):
-        decay = tp ** (-1.0 - s_over_n)
-    far = decay < np.finfo(float).tiny
-    dens = np.empty_like(tp)
-    dens[~far] = 1.0 / (gi[~far] * decay[~far])
-    dens[far] = (tp[far] / gi[far]) * tp[far] ** s_over_n
-    out[pos] = dens
-    return out
+    np.testing.assert_allclose(got, p_star * gstar(t) / t, rtol=1e-10)
+    np.testing.assert_allclose(got, _central_difference(gstar, t), rtol=1e-7)
 
 
 @pytest.mark.parametrize("name", ["power3.5", "summix"])
 def test_sobolev_conjugate_density_where_it_overflows(families, embedding, gstars, name):
-    yf, gstar = families[name], gstars[name]
+    gstar = gstars[name]
     s, n = embedding[name]
     assert (s, n) == (0.5, 2)
-    t = np.concatenate([np.logspace(-14.0, 30.0, 441), [np.inf]])
-    # the table of G* overflowing to inf is a correct result
-    with np.errstate(over="ignore"):
+    t = np.logspace(-14.0, 30.0, 441)
+    # the table of G* overflowing to inf is a correct result, and so are
+    # the NaN differences of its infinite values
+    with np.errstate(over="ignore", invalid="ignore"):
         G = gstar(t)
         got = gstar.g(t)
+        slope = _central_difference(gstar, t)
     big = G == np.inf
     assert np.any(big)
     assert not np.any(np.isnan(got))
     assert np.array_equal(got == np.inf, big)
-    with np.errstate(over="ignore"):
-        ref = _split_conjugate_density(yf, gstar, t[~big], s / n)
-    assert np.array_equal(got[~big].view(np.uint64), ref.view(np.uint64))
+    # elsewhere the density is the slope of the values, past the last knot
+    # (the power law) and in front of it
+    ok = _normal(G) & np.isfinite(slope)
+    assert ok.sum() > 200
+    np.testing.assert_allclose(got[ok], slope[ok], rtol=1e-7, atol=0.0)
 
 
 _CLOSED_FORM_CASES = [
@@ -524,10 +507,6 @@ _CLOSED_FORM_CASES = [
     for s, n in ((0.1, 1), (0.4, 1), (0.5, 1), (0.1, 2), (0.45, 2), (0.5, 2))
     if s * p < n
 ] + [(30.0, 0.01, 2)]  # G underflows and overflows on the outer knots
-
-
-def _normal(x):
-    return (x >= np.finfo(float).tiny) & (x < np.inf)
 
 
 @pytest.mark.parametrize("p, s, n", _CLOSED_FORM_CASES)
@@ -551,6 +530,53 @@ def test_sobolev_conjugate_power_closed_forms(p, s, n):
         assert ok.sum() > 1000, label
         err = np.max(np.abs(got[label][ok] / exact[ok] - 1.0))
         assert err <= 1e-9, (label, err)
+    # the density of G* is its forward table's derivative, p* G*/t
+    with np.errstate(under="ignore", over="ignore"):
+        want = gstar.p_plus * gstar(t) / t
+        dens = gstar.g(t)
+    ok = _normal(want)
+    assert np.max(np.abs(dens[ok] / want[ok] - 1.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("p, s, n", [(3.9, 0.5, 2), (100.0, 0.01, 2)])
+def test_embedding_composition_where_g_star_underflows(p, s, n):
+    # G* underflows to 0 on the lower sigma knots, which H leaves out.  With
+    # a = 1/p - s/n, H(tau) = c tau**(p*/p), c = a**(1/a), p*/p = 1/(a p):
+    # 40 and 2 here
+    G = make_power(p)
+    comp = embedding_composition(G, s, n, sobolev_conjugate(G, s, n))
+    a = 1.0 / p - s / n
+    ratio = n / (n - s * p)
+    with np.errstate(under="ignore", over="ignore", divide="ignore"):
+        tau = young._KNOTS**p
+        exact = np.exp((np.log(a) + np.log(tau) / p) / a)
+    ok = _normal(tau) & _normal(exact)
+    assert ok.sum() > 200
+    err = np.max(np.abs(comp(tau[ok]) / exact[ok] - 1.0))
+    assert err <= 1e-9, err
+    assert abs(comp.p_minus - ratio) <= 1e-9 and abs(comp.p_plus - ratio) <= 1e-9
+
+
+def test_embedding_composition_jump_family_exact():
+    # G = t**2 below 1 and t**3 above at s/n = 1/4: H = G* o G^{-1} is
+    # tau**2 / 256 up to 1, tau**(4/3) / 256 up to 64 and
+    # ((tau**(1/3) + 8) / 12)**12 beyond.  g jumps at sigma = 1, so H's
+    # log-slope jumps at tau = 1, where the points crowd
+    G = make_piecewise_power(2.0, 3.0)
+    comp = embedding_composition(G, 0.5, 2, sobolev_conjugate(G, 0.5, 2))
+    tau = np.concatenate([np.logspace(-6.0, 6.0, 4001), np.linspace(0.99, 1.01, 2001)])
+    exact = np.where(
+        tau <= 1.0,
+        tau**2 / 256.0,
+        np.where(tau <= 64.0, tau ** (4.0 / 3.0) / 256.0, ((np.cbrt(tau) + 8.0) / 12.0) ** 12),
+    )
+    err = np.abs(comp(tau) / exact - 1.0)
+    assert np.max(err) <= 1e-6, (np.max(err), tau[np.argmax(err)])
+    # the density on either side of the kink, right-continuous at it
+    left, right = comp.g(np.array([np.nextafter(1.0, 0.0), 1.0]))
+    assert left == pytest.approx(2.0 / 256.0, rel=1e-6)
+    assert right == pytest.approx(4.0 / 3.0 / 256.0, rel=1e-6)
+    assert comp.p_minus == pytest.approx(4.0 / 3.0, rel=1e-9)
 
 
 def test_sobolev_conjugate_jump_family_exact():
@@ -570,19 +596,30 @@ def test_sobolev_conjugate_jump_family_exact():
 
 
 def test_sobolev_conjugate_build_runs_no_vector_bisection(families, embedding, monkeypatch):
-    # G* is integrated in sigma = G^{-1}(tau), so its build inverts nothing
-    targets = []
-    bisect = young._bisect_increasing
+    # G* is integrated in sigma = G^{-1}(tau) and H tabulated on the same
+    # sigma knots, and both densities are their tables' derivatives, so
+    # neither a build nor a density inverts G
+    calls = []
+    bisect, invert = young._bisect_increasing, young.inverse
 
-    def counted(fn, target):
-        targets.append(np.shape(target))
+    def counted_bisect(fn, target):
+        calls.append(("_bisect_increasing", np.shape(target)))
         return bisect(fn, target)
 
-    monkeypatch.setattr(young, "_bisect_increasing", counted)
+    def counted_inverse(yf, y):
+        calls.append(("inverse", np.shape(y)))
+        return invert(yf, y)
+
+    monkeypatch.setattr(young, "_bisect_increasing", counted_bisect)
+    monkeypatch.setattr(young, "inverse", counted_inverse)
+    t = np.logspace(-6.0, 6.0, 1001)
     for name, yf in families.items():
         s, n = embedding[name]
-        sobolev_conjugate(yf, s, n)
-        assert targets == [], name
+        gstar = sobolev_conjugate(yf, s, n)
+        comp = embedding_composition(yf, s, n, gstar)
+        gstar.g(t)
+        comp.g(t)
+        assert calls == [], name
 
 
 def test_sobolev_conjugate_requires_subcritical_growth():
