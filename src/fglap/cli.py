@@ -167,11 +167,11 @@ def _run_young(cfg) -> dict[str, str]:
     yf = young_from_config(cfg["young"])
     s, n = cfg["s"], cfg["n"]
     gstar = sobolev_conjugate(yf, s, n)
-    comp = embedding_composition(yf, s, n, gstar)
+    comp = embedding_composition(yf, gstar)
     conj = conjugate(yf)
     ts = np.logspace(-3, 3, cfg["points"])
     G = yf(ts)
-    K = indicator_gauge(yf, s, n, ts, gstar)
+    K = indicator_gauge(yf, ts, gstar)
     columns = (ts, G, yf.g(ts), conj(ts), gstar(ts), comp(ts), K)
     table = _csv(["t", "G", "g", "Gtilde", "Gstar", "H", "K"], zip(*columns))
     two_col = _csv(["t", "G"], zip(ts, G))

@@ -228,7 +228,7 @@ def _check_superposition_norm(ctx) -> CheckResult:
         # the only reader of these tables: built per family and dropped
         # before the next, so one family's tables are alive at a time
         gstar = sobolev_conjugate(yf, s, n)
-        comp = embedding_composition(yf, s, n, gstar)
+        comp = embedding_composition(yf, gstar)
         for _ in range(ctx.draws):
             u = rng.lognormal(0.0, 1.0, 1000) * rng.choice([-1.0, 1.0], 1000)
             lhs = luxemburg_norm(comp, WeightedSamples(np.asarray(yf(np.abs(u))), w))

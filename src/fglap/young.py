@@ -648,10 +648,17 @@ class _LogLogTable:
         uniform = h.max() - h.min() <= 1e-6 * step
         self._inv_step = 1.0 / step if uniform else None
         # the value and derivative at +inf: the upper power law, as an
-        # unbounded argument gives it
-        with np.errstate(invalid="ignore"):
+        # unbounded argument gives it.  scipy forms the PCHIP derivative as
+        # top * exponent / inf, NaN when top is inf; with knot slopes it is
+        # the limit of the power law's derivative a * y / x: inf, its
+        # coefficient or 0 as the exponent a exceeds, equals or is below 1
+        with np.errstate(over="ignore", invalid="ignore"):
             top = np.exp(logy[-1] + ends[1] * np.inf)
-            self._at_inf = (top, top * ends[1] / np.inf)
+            if slope is None:
+                dtop = top * ends[1] / np.inf
+            else:
+                dtop = ends[1] * np.exp(logy[-1] - logx[-1]) * np.inf ** (ends[1] - 1.0)
+            self._at_inf = (top, dtop)
 
     def _rows(self, lx: np.ndarray) -> np.ndarray:
         """The row of every finite lx: ``searchsorted(edges, lx, "right")``."""
@@ -921,26 +928,37 @@ def _hat_table(yf: YoungFunction) -> _LogLogTable:
     return table
 
 
-def embedding_composition(
-    yf: YoungFunction, s: float, n: int, gstar: YoungFunction
-) -> YoungFunction:
+def embedding_composition(yf: YoungFunction, gstar: YoungFunction) -> YoungFunction:
     """The composition H = G* o G^{-1} of G with its critical conjugate
     ``gstar``, itself a Young function.
 
     Its Luxemburg norm bounds norms of superpositions G(u) in terms of the
     critical norm of u.  It is tabulated as the pairs (G(sigma), G*(sigma))
     on the sigma knots of :func:`sobolev_conjugate` where both are normal
-    floats, so building it inverts nothing.  The elasticity of H at
-    G(sigma) is the ratio e*/e of the elasticities of G* and G at sigma,
-    in which sigma cancels: (g*/G*) / (g/G), with g* the density of
-    ``gstar``.  That ratio is each knot's exact slope; where g jumps, the
-    knot takes the ratio with g(sigma-) as its slope from the left, so no
-    cubic straddles the kink of H there.  The density of H is its table's
-    derivative, and its index bounds are the least and the greatest knot
-    slope.
+    floats, so building it inverts nothing.  Where g jumps at a knot
+    sigma_j, G* = G o W^{-1} has a second-derivative jump at
+    t = W(sigma_j), so H has one at sigma = W(sigma_j), which the inverse
+    table of ``gstar`` gives as (G*)^{-1}(G(sigma_j)); those sigma join the
+    knots.  The elasticity of H at G(sigma) is the ratio e*/e of the
+    elasticities of G* and G at sigma, in which sigma cancels:
+    (g*/G*) / (g/G), with g* the density of ``gstar``.  That ratio is each
+    knot's exact slope; where g jumps, the knot takes the ratio with
+    g(sigma-) as its slope from the left, so no cubic straddles a kink of H.
+    The density of H is its table's derivative, and its index bounds are
+    the least and the greatest knot slope.
     """
     knots, gk = _normal_knots(yf)
     with np.errstate(under="ignore", over="ignore"):
+        # g jumps where it exceeds g one float step below by more than
+        # 1e-9 relative, the test the left slopes below take
+        jumps = yf.derivative(knots) > yf.derivative(np.nextafter(knots, 0.0)) * (1.0 + 1e-9)
+        bends = gstar.inverse_fn(gk[jumps])
+        bends = bends[(bends > knots[0]) & (bends < knots[-1])]
+        at = np.searchsorted(knots, bends)
+        # a bend that is a knot already keeps its one knot
+        new = knots[at] != bends
+        knots = np.insert(knots, at[new], bends[new])
+        gk = np.insert(gk, at[new], yf.evaluate(bends[new]))
         hk = gstar.evaluate(knots)
     keep = (hk >= np.finfo(float).tiny) & (hk < np.inf)
     knots, gk, hk = knots[keep], gk[keep], hk[keep]
@@ -966,16 +984,17 @@ def embedding_composition(
         table.derivative,
         p_minus,
         p_plus,
-        f"embedding_composition({yf.label};s={s:g},n={n})",
+        f"embedding_composition({gstar.label})",
     )
 
 
-def indicator_gauge(yf: YoungFunction, s: float, n: int, t, gstar: YoungFunction):
+def indicator_gauge(yf: YoungFunction, t, gstar: YoungFunction):
     """Gauge t * (G* o G^{-1})^{-1}(1/t) = t * G((G*)^{-1}(1/t)) for t > 0,
-    with ``gstar`` the critical conjugate of G at (s, n).
+    with ``gstar`` the critical conjugate of G.
 
     Bounds the conjugate-norm of the indicator of a set of measure t.  For a
-    pure power G = t**p it reduces to c * t**(s p / n).
+    pure power G = t**p and ``gstar`` at (s, n) it reduces to
+    c * t**(s p / n).
     """
     arr = np.asarray(t, dtype=float)
     if np.any(arr <= 0):

@@ -47,7 +47,7 @@ def compositions(families, embedding, gstars):
     out = {}
     for name, yf in families.items():
         s, n = embedding[name]
-        out[name] = embedding_composition(yf, s, n, gstars[name])
+        out[name] = embedding_composition(yf, gstars[name])
     return out
 
 

@@ -141,7 +141,7 @@ def test_acceptance_indicator_gauge(families, embedding, gstars):
     with Budget("indicator gauge", 30.0):
         # pure square at s = 1/2 in the plane: gauge equals 16 sqrt(t)
         ts = np.logspace(-4, 4, 400)
-        K = indicator_gauge(families["power2"], 0.5, 2, ts, gstars["power2"])
+        K = indicator_gauge(families["power2"], ts, gstars["power2"])
         worst_power = float(np.max(np.abs(K / (16.0 * np.sqrt(ts)) - 1.0)))
         assert worst_power < 0.01
         # kinked and logarithmic families: one fitted constant on the coarse
@@ -154,12 +154,12 @@ def test_acceptance_indicator_gauge(families, embedding, gstars):
             coarse = np.logspace(-6, 6, 400)
             C = float(
                 np.max(
-                    indicator_gauge(yf, s, n, coarse, gstars[name])
+                    indicator_gauge(yf, coarse, gstars[name])
                     / np.maximum(coarse, coarse ** (s * q / n))
                 )
             )
             fine = np.logspace(-6, 6, 1601)
-            vals = indicator_gauge(yf, s, n, fine, gstars[name])
+            vals = indicator_gauge(yf, fine, gstars[name])
             assert np.all(vals <= 1.05 * C * np.maximum(fine, fine ** (s * q / n))), name
             fits[name] = C
     report(

@@ -329,11 +329,11 @@ def _per_point_young_tables(cfg):
     yf = young_from_config(cfg["young"])
     s, n = cfg["s"], cfg["n"]
     gstar = sobolev_conjugate(yf, s, n)
-    comp = embedding_composition(yf, s, n, gstar)
+    comp = embedding_composition(yf, gstar)
     conj = conjugate(yf)
     ts = np.logspace(-3, 3, cfg["points"])
     rows = [
-        [t, yf(t), yf.g(t), conj(t), gstar(t), comp(t), indicator_gauge(yf, s, n, t, gstar)]
+        [t, yf(t), yf.g(t), conj(t), gstar(t), comp(t), indicator_gauge(yf, t, gstar)]
         for t in ts
     ]
 

@@ -19,8 +19,8 @@ class _ScipyTable:
     """The scipy-backed table the numpy one replaced: scipy's PCHIP of
     log y against log x inside the knots, with the end secants' power laws
     outside; where the knot slopes are given, its cubic Hermite spline,
-    with the end slopes' power laws outside.  Zero at nonpositive
-    arguments."""
+    with the end slopes' power laws outside, whose derivative at +inf is
+    their limit.  Zero at nonpositive arguments."""
 
     def __init__(self, logx, logy, slope=None):
         self.logx = logx
@@ -30,6 +30,7 @@ class _ScipyTable:
         else:
             self.interp = CubicHermiteSpline(logx, logy, slope, extrapolate=False)
         self.dinterp = self.interp.derivative()
+        self.slope_given = slope is not None
         if slope is None:
             self.slope_lo = (logy[1] - logy[0]) / (logx[1] - logx[0])
             self.slope_hi = (logy[-1] - logy[-2]) / (logx[-1] - logx[-2])
@@ -67,6 +68,10 @@ class _ScipyTable:
         val, slope, pos = self._eval(flat)
         out = np.zeros_like(flat)
         out[pos] = val[pos] * slope[pos] / flat[pos]
+        if self.slope_given:
+            # the end power law's own limit, where val * slope / x is inf / inf
+            top = np.exp(self.logy[-1] - self.logx[-1])
+            out[flat == np.inf] = self.slope_hi * top * np.inf ** (self.slope_hi - 1.0)
         return out.reshape(arr.shape)
 
 
@@ -114,7 +119,7 @@ def tables(families, embedding):
     name = "piecewise2_3"
     s, n = embedding[name]
     gstar = sobolev_conjugate(families[name], s, n)
-    (comp,) = _recorded_tables(lambda: embedding_composition(families[name], s, n, gstar))
+    (comp,) = _recorded_tables(lambda: embedding_composition(families[name], gstar))
     out[f"composition:{name}"] = comp
     rng = np.random.default_rng(5)
     # random values: secants change sign and vanish, reaching every slope
@@ -326,7 +331,7 @@ def test_tables_hold_six_words_per_knot(families, embedding):
 
     def build():
         gstar = sobolev_conjugate(families[name], s, n)
-        embedding_composition(families[name], s, n, gstar)
+        embedding_composition(families[name], gstar)
         _hat_table(make_power_log(3.0))  # a new function, so its table is built
 
     built = _recorded_tables(build)

@@ -483,7 +483,7 @@ def test_sobolev_conjugate_density_where_it_overflows(families, embedding, gstar
     gstar = gstars[name]
     s, n = embedding[name]
     assert (s, n) == (0.5, 2)
-    t = np.logspace(-14.0, 30.0, 441)
+    t = np.concatenate([np.logspace(-14.0, 30.0, 441), [np.inf]])
     # the table of G* overflowing to inf is a correct result, and so are
     # the NaN differences of its infinite values
     with np.errstate(over="ignore", invalid="ignore"):
@@ -494,6 +494,7 @@ def test_sobolev_conjugate_density_where_it_overflows(families, embedding, gstar
     assert np.any(big)
     assert not np.any(np.isnan(got))
     assert np.array_equal(got == np.inf, big)
+    assert gstar.g(-np.inf) == np.inf
     # elsewhere the density is the slope of the values, past the last knot
     # (the power law) and in front of it
     ok = _normal(G) & np.isfinite(slope)
@@ -516,7 +517,7 @@ def test_sobolev_conjugate_power_closed_forms(p, s, n):
     G = make_power(p)
     a = 1.0 / p - s / n
     gstar = sobolev_conjugate(G, s, n)
-    comp = embedding_composition(G, s, n, gstar)
+    comp = embedding_composition(G, gstar)
     t = np.logspace(-6.0, 6.0, 4001)
     with np.errstate(under="ignore", over="ignore"):
         want = {
@@ -544,7 +545,7 @@ def test_embedding_composition_where_g_star_underflows(p, s, n):
     # a = 1/p - s/n, H(tau) = c tau**(p*/p), c = a**(1/a), p*/p = 1/(a p):
     # 40 and 2 here
     G = make_power(p)
-    comp = embedding_composition(G, s, n, sobolev_conjugate(G, s, n))
+    comp = embedding_composition(G, sobolev_conjugate(G, s, n))
     a = 1.0 / p - s / n
     ratio = n / (n - s * p)
     with np.errstate(under="ignore", over="ignore", divide="ignore"):
@@ -561,22 +562,39 @@ def test_embedding_composition_jump_family_exact():
     # G = t**2 below 1 and t**3 above at s/n = 1/4: H = G* o G^{-1} is
     # tau**2 / 256 up to 1, tau**(4/3) / 256 up to 64 and
     # ((tau**(1/3) + 8) / 12)**12 beyond.  g jumps at sigma = 1, so H's
-    # log-slope jumps at tau = 1, where the points crowd
+    # log-slope jumps at tau = 1, and G*'s second derivative at
+    # t = W(1) = 4, so H's at tau = G(4) = 64: the points crowd both kinks
     G = make_piecewise_power(2.0, 3.0)
-    comp = embedding_composition(G, 0.5, 2, sobolev_conjugate(G, 0.5, 2))
-    tau = np.concatenate([np.logspace(-6.0, 6.0, 4001), np.linspace(0.99, 1.01, 2001)])
+    comp = embedding_composition(G, sobolev_conjugate(G, 0.5, 2))
+    tau = np.concatenate([
+        np.logspace(-6.0, 6.0, 4001),
+        np.linspace(0.99, 1.01, 2001),
+        np.linspace(63.9, 64.1, 2001),
+    ])
     exact = np.where(
         tau <= 1.0,
         tau**2 / 256.0,
         np.where(tau <= 64.0, tau ** (4.0 / 3.0) / 256.0, ((np.cbrt(tau) + 8.0) / 12.0) ** 12),
     )
     err = np.abs(comp(tau) / exact - 1.0)
-    assert np.max(err) <= 1e-6, (np.max(err), tau[np.argmax(err)])
+    assert np.max(err) <= 1e-11, (np.max(err), tau[np.argmax(err)])
     # the density on either side of the kink, right-continuous at it
     left, right = comp.g(np.array([np.nextafter(1.0, 0.0), 1.0]))
     assert left == pytest.approx(2.0 / 256.0, rel=1e-6)
     assert right == pytest.approx(4.0 / 3.0 / 256.0, rel=1e-6)
     assert comp.p_minus == pytest.approx(4.0 / 3.0, rel=1e-9)
+
+
+def test_embedding_composition_lower_bound_at_conjugate_kink(families, embedding, gstars, compositions):
+    # g of G = t**3 (1 + |log t|) jumps at 1, where G = 1.  At
+    # r = W(1) = (G*)^{-1}(1), G*(r) = 1 and g*(r) = G(1)**(1 + s/n) / 1 = 1,
+    # so e*(r) = r, and e* has a corner there.  H's least elasticity e*/e
+    # sits at that corner, which is one of H's knots: off it, the least
+    # knot slope read 2.3e-4 too high
+    yf, comp = families["powerlog3"], compositions["powerlog3"]
+    assert embedding["powerlog3"] == (0.45, 2)
+    r = float(gstars["powerlog3"].inverse_fn(1.0))
+    assert comp.p_minus == pytest.approx(r / yf.ratio(r), rel=1e-9)
 
 
 def test_sobolev_conjugate_jump_family_exact():
@@ -616,7 +634,7 @@ def test_sobolev_conjugate_build_runs_no_vector_bisection(families, embedding, m
     for name, yf in families.items():
         s, n = embedding[name]
         gstar = sobolev_conjugate(yf, s, n)
-        comp = embedding_composition(yf, s, n, gstar)
+        comp = embedding_composition(yf, gstar)
         gstar.g(t)
         comp.g(t)
         assert calls == [], name
@@ -649,10 +667,10 @@ def test_head_integral_via_quadrature_oracle():
 def test_indicator_gauge_power_case(gstars):
     G = make_power(2.0)
     ts = np.logspace(-4, 4, 200)
-    K = indicator_gauge(G, 0.5, 2, ts, gstars["power2"])
+    K = indicator_gauge(G, ts, gstars["power2"])
     consts = K / ts**0.5
     assert np.max(np.abs(consts - 16.0)) < 0.16  # within 1 percent of 16
-    assert indicator_gauge(G, 0.5, 2, 1.0, gstars["power2"]) == pytest.approx(
+    assert indicator_gauge(G, 1.0, gstars["power2"]) == pytest.approx(
         float(gstars["power2"].inverse_fn(1.0)) ** 2, rel=1e-8
     )
 
@@ -665,12 +683,12 @@ def test_indicator_gauge_bounded_by_fitted_envelope(families, embedding, gstars)
         coarse = np.logspace(-6, 6, 400)
         C = float(
             np.max(
-                indicator_gauge(yf, s, n, coarse, gstars[name])
+                indicator_gauge(yf, coarse, gstars[name])
                 / np.maximum(coarse, coarse ** (s * q / n))
             )
         )
         fine = np.logspace(-6, 6, 1601)
-        vals = indicator_gauge(yf, s, n, fine, gstars[name])
+        vals = indicator_gauge(yf, fine, gstars[name])
         assert np.all(vals <= 1.05 * C * np.maximum(fine, fine ** (s * q / n))), name
 
 
