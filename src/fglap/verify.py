@@ -129,6 +129,8 @@ def _check_young_inequality(ctx) -> CheckResult:
         lhs = T * A
         rhs = np.asarray(yf(T)) + np.asarray(conj(A))
         worst = min(worst, float(np.min(rhs - lhs) / np.max(rhs)))
+        # each family's conjugate table is dropped before the next is built
+        del conj
     return _result("young_inequality", worst >= -1e-8, worst, 2500 * len(ctx.families))
 
 
@@ -140,6 +142,7 @@ def _check_young_equality(ctx) -> CheckResult:
         a = np.asarray(yf.g(ts))
         gap = ts * a - np.asarray(yf(ts)) - np.asarray(conj(a))
         worst = min(worst, -float(np.max(np.abs(gap) / (ts * a + 1.0))))
+        del conj
     return _result("young_equality_case", worst >= -1e-8, worst, 40 * len(ctx.families))
 
 
@@ -197,6 +200,7 @@ def _check_double_conjugacy(ctx) -> CheckResult:
         back = conjugate(conjugate(yf))
         ref = np.asarray(yf(ts))
         worst = max(worst, float(np.max(np.abs(np.asarray(back(ts)) - ref) / ref)))
+        del back
     return _result("double_conjugacy", worst <= 1e-6, -worst, 25 * len(ctx.families))
 
 

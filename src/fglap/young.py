@@ -6,7 +6,9 @@ provenance label.  On top of it the module provides
 
 * closed-form families (powers, powers with a logarithmic factor, piecewise
   powers) and combinators (weighted sums, maxima, compositions),
-* numeric inversion and convex conjugation,
+* the convex conjugate G~ and, for families without a closed-form
+  inverse, G^{-1}: both tabulated on G's own log knots by swapping the
+  knot triples (sigma, G, g), so neither inverts G by a root find,
 * the critical Sobolev conjugate G* and the composition G* o G^{-1},
   tabulated on the log knots in sigma = G^{-1}(tau) from G and its density
   alone, each with its own table's derivative as its density, so neither
@@ -117,7 +119,8 @@ class YoungFunction:
     through ``__call__`` which applies the even extension G(|t|).  The index
     bounds satisfy p_minus <= t*g(t)/G(t) <= p_plus on the sampled range,
     with 1 < p_minus <= p_plus < inf.  ``inverse_fn``, when present, is a
-    closed-form or tabulated inverse used to skip bisection.
+    closed-form or tabulated inverse, which :func:`inverse` evaluates
+    instead of building a table of G^{-1}.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -404,70 +407,64 @@ def normalize_young(yf: YoungFunction) -> YoungFunction:
 # ---------------------------------------------------------------------------
 
 
-def _geometric_mid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """sqrt(lo * hi) for 0 < lo <= hi, and sqrt(lo) * sqrt(hi) wherever the
-    product overflows (roots above about 1.3e154)."""
-    if not np.any(hi > 1e154):  # then lo * hi <= 1e308 is finite
-        return np.sqrt(lo * hi)
-    with np.errstate(over="ignore"):
-        mid = np.sqrt(lo * hi)
-    big = np.isinf(mid)
-    mid[big] = np.sqrt(lo[big]) * np.sqrt(hi[big])
-    return mid
+# fill knots per decade on a line of the conjugate, where g jumps: the
+# log-log cubics there bend the line, and the error of their slope falls as
+# the cube of the spacing (the conjugate density of piecewise_power(2,3) on
+# its line (2, 3) reads 9.1e-9 off at 512 knots a decade, 1.5e-10 at 2,048)
+_FILL_PER_DECADE = 2048
 
 
-def _bisect_increasing(fn, target):
-    """Solve fn(t) = target for nondecreasing fn with fn(0) = 0, fn -> inf.
+def _knot_triples(yf: YoungFunction):
+    """The knot triples (x, G(x), g(x)) of ``yf`` on the log knots where G
+    is a normal float, with its density from the left, g(x-): read one
+    float step below x, it is kept where it is more than 1e-9 relative
+    below g(x), at a jump of g, and is g(x) elsewhere."""
+    x, G = _normal_knots(yf)
+    with np.errstate(under="ignore", over="ignore"):
+        g = yf.derivative(x)
+        gl = yf.derivative(np.nextafter(x, 0.0))
+    return x, G, g, np.where(g > gl * (1.0 + 1e-9), gl, g)
 
-    Vectorized bracket expansion followed by up to 110 steps of geometric
-    bisection, which keeps the result accurate in relative terms across
-    hundreds of orders of magnitude.  At jump discontinuities of fn the
-    iteration converges to the jump location, the right-continuous
-    generalized inverse.
 
-    The loop ends early once a step leaves every bracket unchanged: the
-    step is a deterministic map of (lo, hi), so all remaining steps would
-    repeat that state, and the result is the full 110-step bisection's own
-    bits.
+def _legendre_swap(x, G, g, gl):
+    """The knot triples of the conjugate of the function with triples
+    (x, G, g) and left densities gl, in the same form.
+
+    Each knot maps to (g, x g - G, x).  Where g jumps at x_j, the conjugate
+    is the line x_j tau - G_j over [g(x_j-), g(x_j)], which gets fill knots
+    of density x_j.  Where g is flat over a run of knots, so that tau
+    repeats, the conjugate's density jumps: the run becomes its last knot,
+    with the run's first x as its density from the left.  Knots where the
+    conjugate is not a normal float are dropped.
     """
-    y = np.asarray(target, dtype=float)
-    scalar = y.ndim == 0
-    y = np.atleast_1d(y).astype(float)
-    if np.any(y < 0) or not np.all(np.isfinite(y)):
-        raise ValueError("inverse targets must be finite and nonnegative")
-    lo = np.full_like(y, 1e-300)
-    hi = np.ones_like(y)
-    short = np.asarray(fn(hi)) < y
-    for _ in range(400):
-        if not short.any():
-            break
-        lo[short] = hi[short]
-        hi[short] *= 8.0
-        if np.any(hi > 1e290):
-            raise BracketError("bracket expansion exceeded floating-point range")
-        short = np.asarray(fn(hi)) < y
-    else:
-        raise BracketError("no upper bracket found; malformed growth function")
-    # geometric bisection: the log-interval halves every step, so ~110 steps
-    # resolve any magnitude in [1e-300, 1e290] to full relative precision
-    for _ in range(110):
-        mid = _geometric_mid(lo, hi)
-        left = np.asarray(fn(mid)) < y
-        new_lo = np.where(left, mid, lo)
-        new_hi = np.where(left, hi, mid)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break
-        lo, hi = new_lo, new_hi
-    out = _geometric_mid(lo, hi)
-    out[y == 0.0] = 0.0
-    return float(out[0]) if scalar else out
+    jumps = np.flatnonzero(gl < g)
+    # geometric fill knots over [g(x_j-), g(x_j)), inserted before knot j
+    fills = [
+        np.geomspace(gl[j], g[j], 1 + math.ceil(_FILL_PER_DECADE * math.log10(g[j] / gl[j])))
+        for j in jumps
+    ]
+    at = np.repeat(jumps, [len(f) - 1 for f in fills])
+    tau = np.insert(g, at, np.concatenate([np.empty(0)] + [f[:-1] for f in fills]))
+    dens = np.insert(x, at, x[at])
+    val = tau * dens - np.insert(G, at, G[at])
+    # the first and last knot of every run of equal tau
+    first = np.flatnonzero(np.r_[True, tau[1:] != tau[:-1]])
+    last = np.r_[first[1:] - 1, len(tau) - 1]
+    tau, val, dl, dens = tau[last], val[last], dens[first], dens[last]
+    keep = (val >= np.finfo(float).tiny) & (val < np.inf)
+    return tau[keep], val[keep], dens[keep], dl[keep]
 
 
 def inverse(yf: YoungFunction, y) -> float | np.ndarray:
     """Inverse G^{-1}(y) for y >= 0, monotone in y.
 
-    Uses a closed-form inverse when the family provides one, otherwise
-    monotone bisection on G.
+    Uses the family's closed-form or tabulated inverse when it has one.
+    Otherwise it evaluates a table of G^{-1} built for this call from the
+    knot triples of G (see :func:`_knot_triples`): log-log cubics through the
+    pairs (G_k, x_k), each with the exact log-slope G / (x g), and
+    G / (x g(x-)) from the left where g jumps.  Beyond the knots the table
+    extrapolates with the end slopes' power laws.  Targets must then be
+    finite.
     """
     arr = np.asarray(y, dtype=float)
     if np.any(arr < 0):
@@ -475,32 +472,33 @@ def inverse(yf: YoungFunction, y) -> float | np.ndarray:
     if yf.inverse_fn is not None:
         out = yf.inverse_fn(np.atleast_1d(arr))
         return float(out[0]) if arr.ndim == 0 else np.asarray(out).reshape(arr.shape)
-    return _bisect_increasing(lambda t: yf.evaluate(t), arr)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("inverse targets must be finite and nonnegative")
+    x, G, g, gl = _knot_triples(yf)
+    return _LogLogTable(G, x, G / (x * g), G / (x * gl))(arr)
 
 
 def conjugate(yf: YoungFunction) -> YoungFunction:
-    """Complementary function sup_a { t a - G(a) }.
+    """Complementary function sup_a { t a - G(a) }, tabulated.
 
-    Evaluation solves the first-order condition g(a) = t by monotone
-    bisection; the derivative of the result is the right-continuous
-    generalized inverse of g.  Index bounds swap and conjugate:
-    (p_plus', p_minus') with r' = r / (r - 1).
+    At a = x_k the supremum is attained at t = g(x_k), so the knot triples
+    (x_k, G(x_k), g(x_k)) of G, on the log knots where G is a normal float,
+    give the conjugate's knots by the Legendre swap (see
+    :func:`_legendre_swap`): (g, x g - G, x), with fill knots on the line
+    over each jump of g.  The table takes each knot's exact log-slope
+    t x / G~(t), and its derivative, which is x at every knot, is the
+    density: the right-continuous generalized inverse of g.  The table
+    carries its triples, so conjugating it again swaps them back, and its
+    runs of equal density become knots with a slope from the left.  Index
+    bounds swap and conjugate: (p_plus', p_minus') with r' = r / (r - 1).
     """
-
-    def maximizer(t):
-        return _bisect_increasing(lambda a: yf.derivative(a), t)
-
-    def ev(t):
-        a = maximizer(t)
-        val = t * a - yf.evaluate(a)
-        return np.maximum(val, 0.0)
-
-    def dv(t):
-        return maximizer(t)
-
+    triples = getattr(yf.evaluate, "legendre", None) or _knot_triples(yf)
+    tau, val, dens, dl = _legendre_swap(*triples)
+    table = _LogLogTable(tau, val, tau * dens / val, tau * dl / val)
+    table.legendre = (tau, val, dens, dl)
     p_minus = yf.p_plus / (yf.p_plus - 1.0)
     p_plus = yf.p_minus / (yf.p_minus - 1.0)
-    return YoungFunction(ev, dv, p_minus, p_plus, f"conjugate({yf.label})")
+    return YoungFunction(table, table.derivative, p_minus, p_plus, f"conjugate({yf.label})")
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +566,9 @@ class _LogLogTable:
     derivative of the interpolant itself (C1 but at the knots whose two
     slopes differ, and right-continuous there), so integrands tabulated
     here can be paired with gradients that match them to rounding error.
+    With ``slope``, where the value overflows the derivative is formed in
+    logs, so it reads inf only where it overflows itself; PCHIP tables
+    keep scipy's inf there.
     The power laws outside the knots take the end secants, or with
     ``slope`` the exact end slopes: the secant of closely spaced knots
     resolves the exponent poorly (for G* of t**3.9 at s/n = 1/4 it put G*
@@ -621,23 +622,30 @@ class _LogLogTable:
         ends = m[[0, -1]] if slope is None else d[[0, -1]]
         # the slope at the right end of each cubic
         dr = d[1:] if left is None else np.asarray(left, dtype=float)[1:]
-        t = (d[:-1] + dr - 2 * m) / h
-        c3 = t / h
-        c2 = (m - d[:-1]) / h - t
-        zero = np.zeros(1)
         # columns: origin, then the coefficients of 1, s, s**2, s**3; scipy
         # starts its sums from 0.0, which turns a leading -0.0 into 0.0 (the
         # log of a positive value is never -0.0, so column 1 below row 0 is
         # logy itself).  The slope column holds 0.0 + d, the derivative's
         # constant term; the value's sum cannot tell it from d, because its
-        # own constant term is never -0.0
-        self._coef = np.column_stack([
-            np.concatenate([logx[:1], logx]),
-            np.concatenate([logy[:1], 0.0 + logy[:-1], logy[-1:]]),
-            np.concatenate([ends[:1], 0.0 + d[:-1], ends[1:]]),
-            np.concatenate([zero, c2, zero]),
-            np.concatenate([zero, c3, zero]),
-        ])
+        # own constant term is never -0.0.  The array is written in place,
+        # one column at a time, so a build holds few knot-length temporaries
+        n = len(logx)
+        coef = np.zeros((n + 1, 5))
+        coef[0, :3] = logx[0], logy[0], ends[0]
+        coef[1:, 0] = logx
+        np.add(0.0, logy[:-1], out=coef[1:n, 1])
+        coef[n, 1:3] = logy[-1], ends[1]
+        np.add(0.0, d[:-1], out=coef[1:n, 2])
+        # t = (d[:-1] + dr - 2 m) / h, c3 = t / h and c2 = (m - d[:-1]) / h - t
+        t = d[:-1] + dr
+        t -= 2 * m
+        t /= h
+        np.divide(t, h, out=coef[1:n, 4])
+        m -= d[:-1]
+        m /= h
+        np.subtract(m, t, out=coef[1:n, 3])
+        del t, m, dr
+        self._coef = coef
         # row r covers edges[r-1] <= log x < edges[r]; the last edge is
         # nudged up so that the last knot stays in the last cubic
         self._edges = np.concatenate([logx[:-1], [np.nextafter(logx[-1], np.inf)]])
@@ -647,6 +655,7 @@ class _LogLogTable:
         step = (logx[-1] - logx[0]) / len(h)
         uniform = h.max() - h.min() <= 1e-6 * step
         self._inv_step = 1.0 / step if uniform else None
+        self._knot_slopes = slope is not None
         # the value and derivative at +inf: the upper power law, as an
         # unbounded argument gives it.  scipy forms the PCHIP derivative as
         # top * exponent / inf, NaN when top is inf; with knot slopes it is
@@ -720,17 +729,27 @@ class _LogLogTable:
             res = out[k : k + _EVAL_BLOCK]
             fin = (arg > 0.0) & (arg < np.inf)
             x = arg[fin]
-            ly, ls = self._log_eval(np.log(x), derivative)
-            val = np.exp(ly, out=ly)
+            lx = np.log(x)
+            ly, ls = self._log_eval(lx, derivative)
             if derivative:
                 # where val * ls overflows, as near the top of G*, though
                 # the derivative does not, ls / x goes first; every finite
-                # val * ls / x keeps scipy's bits
+                # val * ls / x keeps scipy's bits.  With knot slopes, where
+                # val itself overflows, the derivative is formed in logs;
+                # PCHIP tables keep scipy's inf there
                 with np.errstate(over="ignore"):
+                    val = np.exp(ly)
                     dv = val * ls / x
-                    far = np.isinf(dv) & (val < np.inf)
-                    dv[far] = val[far] * (ls[far] / x[far])
+                    big = np.isinf(dv)
+                    if big.any():
+                        far = big & (val < np.inf)
+                        dv[far] = val[far] * (ls[far] / x[far])
+                        if self._knot_slopes:
+                            big &= val == np.inf
+                            dv[big] = np.exp(ly[big] + np.log(ls[big]) - lx[big])
                 val = dv
+            else:
+                val = np.exp(ly, out=ly)
             res[fin] = val
             res[arg == np.inf] = self._at_inf[derivative]
         return out
@@ -863,8 +882,9 @@ def sobolev_conjugate(
     to W_k and the forward table W_k to G(sigma_k): log-log cubics with the
     exact knot slopes and power-law extrapolation.  The result evaluates
     the forward table, its density is that table's derivative, and its
-    ``inverse_fn`` is the inverse table, so nothing here inverts G.  Where
-    G* overflows to inf, its density reads inf.
+    ``inverse_fn`` is the inverse table, so nothing here inverts G.  Its
+    density reads inf only where the density itself overflows: on the
+    band where G* overflows but g* does not, it is formed in logs.
     """
     if not (0.0 < s < 1.0):
         raise EmbeddingConditionError(f"smoothness order must lie in (0,1), got {s}")
@@ -947,30 +967,27 @@ def embedding_composition(yf: YoungFunction, gstar: YoungFunction) -> YoungFunct
     The density of H is its table's derivative, and its index bounds are
     the least and the greatest knot slope.
     """
-    knots, gk = _normal_knots(yf)
+    knots, gk, g, gl = _knot_triples(yf)
     with np.errstate(under="ignore", over="ignore"):
-        # g jumps where it exceeds g one float step below by more than
-        # 1e-9 relative, the test the left slopes below take
-        jumps = yf.derivative(knots) > yf.derivative(np.nextafter(knots, 0.0)) * (1.0 + 1e-9)
-        bends = gstar.inverse_fn(gk[jumps])
+        bends = gstar.inverse_fn(gk[gl < g])
         bends = bends[(bends > knots[0]) & (bends < knots[-1])]
         at = np.searchsorted(knots, bends)
         # a bend that is a knot already keeps its one knot
         new = knots[at] != bends
-        knots = np.insert(knots, at[new], bends[new])
-        gk = np.insert(gk, at[new], yf.evaluate(bends[new]))
+        bends, at = bends[new], at[new]
+        knots = np.insert(knots, at, bends)
+        gk = np.insert(gk, at, yf.evaluate(bends))
+        # g is continuous at a bend: one density serves both sides
+        gb = yf.derivative(bends)
+        g, gl = np.insert(g, at, gb), np.insert(gl, at, gb)
         hk = gstar.evaluate(knots)
     keep = (hk >= np.finfo(float).tiny) & (hk < np.inf)
-    knots, gk, hk = knots[keep], gk[keep], hk[keep]
+    knots, gk, g, gl, hk = knots[keep], gk[keep], g[keep], gl[keep], hk[keep]
     rel = gstar.derivative(knots) / hk
-    slope = rel / (yf.derivative(knots) / gk)
-    left = rel / (yf.derivative(np.nextafter(knots, 0.0)) / gk)
-    # one float step below a knot where g is continuous, g is a few ulps
-    # lower and one slope serves both sides; a left slope more than 1e-9
-    # relative steeper marks a jump of g
-    left = np.where(left > slope * (1.0 + 1e-9), left, slope)
+    slope = rel / (g / gk)
+    left = rel / (gl / gk)
     # the table build sets the traced peak of verify's superposition check
-    del knots, rel
+    del knots, rel, g, gl
     table = _LogLogTable(gk, hk, slope, left)
     # no left slope is below its knot's own
     p_minus, p_plus = float(slope.min()), float(left.max())

@@ -147,3 +147,14 @@ def test_every_config_key_and_solve_option_is_read():
     assert set(_KEYS) - _reads(_PACKAGE / "cli.py", "cfg") == set()
     options = {f.name for f in fields(SolveOptions)}
     assert options - _reads(_PACKAGE / "solver.py", "opts") == set()
+
+
+def test_no_vector_bisection_in_the_package():
+    # the conjugate and the inverse are tables on G's own knots; no module
+    # brings back the vector bisection they replaced
+    names = ("_bisect_increasing", "_geometric_mid")
+    found = {
+        m.name: [n for n in names if n in m.read_text()]
+        for m in sorted(_PACKAGE.glob("*.py"))
+    }
+    assert {name: hits for name, hits in found.items() if hits} == {}

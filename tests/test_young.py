@@ -36,7 +36,6 @@ from fglap import young
 from fglap.operator import _row_blocks, get_kernel
 from fglap.solver import _bump
 from fglap.young import (
-    _bisect_increasing,
     _modular_scale,
     check_young_wellformed,
     luxemburg_scale,
@@ -382,6 +381,108 @@ def test_double_conjugacy(families):
         assert err < 1e-6, (name, err)
 
 
+def _reference_bisect_increasing(fn, target, *, iters=110, max_expand=400):
+    """Solve fn(t) = target for nondecreasing fn with fn(0) = 0 by a
+    fixed-count geometric bisection, every one of its steps taken: at a jump
+    of fn it converges to the jump, the right-continuous generalized
+    inverse.  The oracle of the tabulated conjugate and inverse."""
+    y = np.atleast_1d(np.asarray(target, dtype=float)).astype(float)
+    lo = np.full_like(y, 1e-300)
+    hi = np.ones_like(y)
+    short = np.asarray(fn(hi)) < y
+    for _ in range(max_expand):
+        if not short.any():
+            break
+        lo[short] = hi[short]
+        hi[short] *= 8.0
+        short = np.asarray(fn(hi)) < y
+    for _ in range(iters):
+        mid = np.sqrt(lo * hi)
+        left = np.asarray(fn(mid)) < y
+        lo = np.where(left, mid, lo)
+        hi = np.where(left, hi, mid)
+    out = np.sqrt(lo * hi)
+    out[y == 0.0] = 0.0
+    return out
+
+
+def _reference_conjugate(yf, t):
+    """G~(t) = t a - G(a) and its density a, with the maximizer a bisected
+    on the first-order condition g(a) = t."""
+    a = _reference_bisect_increasing(yf.derivative, t)
+    return t * a - yf.evaluate(a), a
+
+
+def test_conjugate_of_powers_is_the_closed_form(families):
+    t = np.logspace(-6.0, 6.0, 4001)
+    for name in ("power2", "power3.5"):
+        p = families[name].p_plus
+        exact = (p - 1.0) * (t / p) ** (p / (p - 1.0))
+        err = np.max(np.abs(conjugate(families[name])(t) / exact - 1.0))
+        assert err <= 1e-13, (name, err)
+
+
+def test_conjugate_matches_the_bisected_maximizer(families):
+    # the grid crowds [1.5, 4.5], where the densities of piecewise2_3 and
+    # powerlog3 jump over [2, 3] and [2, 4]: there the conjugate is a line
+    t = np.concatenate([np.logspace(-6.0, 6.0, 2001), np.linspace(1.5, 4.5, 3001)])
+    for name in ("piecewise2_3", "powerlog3", "summix"):
+        yf = families[name]
+        C = conjugate(yf)
+        val, dens = _reference_conjugate(yf, t)
+        assert np.max(np.abs(C(t) / val - 1.0)) <= 1e-10, name
+        assert np.max(np.abs(C.g(t) / dens - 1.0)) <= 1e-7, name
+
+
+def test_conjugate_density_is_flat_over_a_jump(families):
+    # g of piecewise2_3 jumps from 2 to 3 at 1, so the conjugate's density
+    # is 1 on (2, 3): fill knots keep the cubics' bend of that line small
+    t = np.linspace(2.0, 3.0, 10001)[1:-1]
+    err = np.max(np.abs(conjugate(families["piecewise2_3"]).g(t) - 1.0))
+    assert err <= 1e-9, err
+
+
+def test_conjugate_density_is_finite_where_its_value_overflows():
+    # the conjugate t**2 / 4 of t**2 overflows at t = 1e200, where its
+    # density t / 2 does not: the table forms that density in logs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = conjugate(make_power(2.0)).g(1e200)
+    assert got == pytest.approx(5e199, rel=1e-12)
+
+
+def test_double_conjugate_swaps_the_knots_back(families):
+    # the conjugate carries its knot triples, so the second conjugate is
+    # built on G's own knots, with a slope from the left where g jumps
+    t = np.logspace(-3.0, 3.0, 2001)
+    for name, yf in families.items():
+        back = conjugate(conjugate(yf))
+        assert np.max(np.abs(back(t) / yf(t) - 1.0)) <= 1e-11, name
+        assert np.max(np.abs(back.g(t) / yf.g(t) - 1.0)) <= 1e-8, name
+
+
+def test_inverse_table_matches_bisection(families):
+    # targets over the values G takes on the knots, sigma in [1e-15, 1e15];
+    # beyond them the table extrapolates its end slopes' power laws
+    y = np.concatenate([[0.0], np.logspace(-30.0, 40.0, 3001)])
+    for name in ("powerlog3", "summix"):
+        yf = families[name]
+        assert yf.inverse_fn is None
+        got = inverse(yf, y)
+        ref = _reference_bisect_increasing(yf.evaluate, y)
+        assert got[0] == 0.0, name
+        assert np.max(np.abs(got[1:] / ref[1:] - 1.0)) <= 1e-10, name
+        assert inverse(yf, y[7]) == got[7], name
+
+
+@pytest.mark.parametrize("target", [-1.0, np.inf, np.nan])
+def test_inverse_table_refuses_bad_targets(families, target):
+    with pytest.raises(ValueError):
+        inverse(families["powerlog3"], target)
+    with pytest.raises(ValueError):
+        inverse(families["summix"], np.array([1.0, target]))
+
+
 # ---------------------------------------------------------------------------
 # scaling inequalities
 # ---------------------------------------------------------------------------
@@ -493,8 +594,26 @@ def test_sobolev_conjugate_density_where_it_overflows(families, embedding, gstar
     big = G == np.inf
     assert np.any(big)
     assert not np.any(np.isnan(got))
-    assert np.array_equal(got == np.inf, big)
-    assert gstar.g(-np.inf) == np.inf
+    assert gstar.g(np.inf) == gstar.g(-np.inf) == np.inf
+    # past t1 = 1e6, beyond the last knot, G* is a power law, so log g*
+    # is affine in log t there: the density is inf exactly where that log
+    # passes the largest float, which is on a thin band past where G*
+    # itself overflows
+    t1 = 1e6
+    far = (t >= t1) & (t < np.inf)
+    log_g = np.log(gstar.g(t1)) + (gstar.ratio(t1) - 1.0) * np.log(t[far] / t1)
+    assert np.array_equal(got[far] == np.inf, log_g > np.log(np.finfo(float).max))
+    assert np.all(np.isfinite(got[t < t1]))
+    band = big & (got < np.inf)
+    assert np.count_nonzero(band) == {"power3.5": 4, "summix": 24}[name]
+    if name == "power3.5":
+        # p* G*/t formed in logs from the last grid point where G* is
+        # finite, with p* = 28 the table's exact end slope
+        p_star = 28.0
+        t0, G0 = t[~big][-1], G[~big][-1]
+        log_G = np.log(G0) + p_star * np.log(t[band] / t0)
+        ref = np.exp(np.log(p_star) + log_G - np.log(t[band]))
+        np.testing.assert_allclose(got[band], ref, rtol=1e-12, atol=0.0)
     # elsewhere the density is the slope of the values, past the last knot
     # (the power law) and in front of it
     ok = _normal(G) & np.isfinite(slope)
@@ -618,17 +737,12 @@ def test_sobolev_conjugate_build_runs_no_vector_bisection(families, embedding, m
     # sigma knots, and both densities are their tables' derivatives, so
     # neither a build nor a density inverts G
     calls = []
-    bisect, invert = young._bisect_increasing, young.inverse
-
-    def counted_bisect(fn, target):
-        calls.append(("_bisect_increasing", np.shape(target)))
-        return bisect(fn, target)
+    invert = young.inverse
 
     def counted_inverse(yf, y):
-        calls.append(("inverse", np.shape(y)))
+        calls.append(np.shape(y))
         return invert(yf, y)
 
-    monkeypatch.setattr(young, "_bisect_increasing", counted_bisect)
     monkeypatch.setattr(young, "inverse", counted_inverse)
     t = np.logspace(-6.0, 6.0, 1001)
     for name, yf in families.items():
@@ -874,28 +988,6 @@ def test_scale_and_normalize():
 # ---------------------------------------------------------------------------
 
 
-def _reference_bisect_increasing(fn, target, *, iters=110, max_expand=400):
-    """The fixed-count geometric bisection, every one of its steps taken."""
-    y = np.atleast_1d(np.asarray(target, dtype=float)).astype(float)
-    lo = np.full_like(y, 1e-300)
-    hi = np.ones_like(y)
-    short = np.asarray(fn(hi)) < y
-    for _ in range(max_expand):
-        if not short.any():
-            break
-        lo[short] = hi[short]
-        hi[short] *= 8.0
-        short = np.asarray(fn(hi)) < y
-    for _ in range(iters):
-        mid = np.sqrt(lo * hi)
-        left = np.asarray(fn(mid)) < y
-        lo = np.where(left, mid, lo)
-        hi = np.where(left, hi, mid)
-    out = np.sqrt(lo * hi)
-    out[y == 0.0] = 0.0
-    return out
-
-
 def _reference_luxemburg_scale(modular_of_scaled, *, tol=1e-11, max_expand=2000):
     """Doubling bracket, then a midpoint evaluation at every bisection step."""
     lam = 1.0
@@ -928,53 +1020,6 @@ def _reference_luxemburg_scale(modular_of_scaled, *, tol=1e-11, max_expand=2000)
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def _bisection_targets(fn, rng):
-    # jump crossings: every target between the one-sided limits of a density
-    # jump at t = 1 lands on the jump itself
-    below, above = float(fn(np.array([1.0 - 1e-12]))[0]), float(fn(np.array([1.0]))[0])
-    return np.concatenate(
-        [
-            [0.0, 5e-324, 1e-310, 1e-300, 0.5 * float(fn(np.array([1e-300]))[0])],
-            # beyond fn(1) the bracket expands; roots stay below 1e150, where
-            # the product lo * hi of the geometric midpoint would overflow
-            10.0 ** rng.uniform(-30.0, 30.0, 200),
-            np.linspace(below, above, 9),
-        ]
-    )
-
-
-def test_bisect_increasing_is_bitwise_the_fixed_count_loop(families):
-    rng = np.random.default_rng(41)
-    for name, yf in families.items():
-        for fn in (yf.evaluate, yf.derivative):
-            y = _bisection_targets(fn, rng)
-            got = _bisect_increasing(fn, y)
-            assert got.tobytes() == _reference_bisect_increasing(fn, y).tobytes(), name
-            assert _bisect_increasing(fn, y[7]) == _reference_bisect_increasing(fn, y[7])[0]
-
-
-def test_bisection_splits_the_midpoint_product_beyond_overflow():
-    # a root above about 1.3e154 overflows the product lo * hi of the
-    # geometric midpoint; sqrt(lo) * sqrt(hi) is taken there instead
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = conjugate(make_power(2.0)).g(1e200)
-    assert got == pytest.approx(5e199, rel=1e-12)
-
-
-def test_double_conjugate_is_bitwise_the_fixed_count_loop(families, monkeypatch):
-    t = 10.0 ** np.random.default_rng(43).uniform(-3.0, 3.0, 25)
-    t = np.concatenate([t, [1.0, 2.0, 3.0, 4.0]])  # the jumps of the densities
-    for name, yf in families.items():
-        # the outer bisection runs the inner one at each of its steps
-        back = conjugate(conjugate(yf))
-        got = back(t)
-        with monkeypatch.context() as m:
-            m.setattr(young, "_bisect_increasing", _reference_bisect_increasing)
-            ref = back(t)
-        assert got.tobytes() == ref.tobytes(), name
 
 
 def _norm_cases(families, gstars, compositions, rng):
