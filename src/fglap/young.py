@@ -440,11 +440,11 @@ def _legendre_swap(x, G, g, gl):
     jumps = np.flatnonzero(gl < g)
     # geometric fill knots over [g(x_j-), g(x_j)), inserted before knot j
     fills = [
-        np.geomspace(gl[j], g[j], 1 + math.ceil(_FILL_PER_DECADE * math.log10(g[j] / gl[j])))
+        np.geomspace(gl[j], g[j], 1 + math.ceil(_FILL_PER_DECADE * math.log10(g[j] / gl[j])))[:-1]
         for j in jumps
     ]
-    at = np.repeat(jumps, [len(f) - 1 for f in fills])
-    tau = np.insert(g, at, np.concatenate([np.empty(0)] + [f[:-1] for f in fills]))
+    at = np.repeat(jumps, [len(f) for f in fills])
+    tau = np.insert(g, at, np.concatenate([np.empty(0), *fills]))
     dens = np.insert(x, at, x[at])
     val = tau * dens - np.insert(G, at, G[at])
     # the first and last knot of every run of equal tau
