@@ -23,29 +23,30 @@ holds exactly, exterior terms included.
 
 The discrete energy is the double sum over ordered node pairs plus the
 interior-by-exterior part.  Node order is fixed, so results are
-deterministic for a fixed BLAS thread count.  The operator's row sums are
-numpy pairwise sums, but the energy reduces with ``np.dot``, a BLAS call
-whose last bit can depend on the thread count.
+deterministic for a fixed BLAS thread count.  The operator's sums are numpy
+sums, but the energy reduces with ``np.dot``, a BLAS call whose last bit
+can depend on the thread count.
 
 Every pass over node pairs and exterior rays lives here and runs over node
 rows in blocks of about ``_BLOCK`` elements: the kernel build, the
 operator, the energy and its Newton Hessian, the pair test margin and the
-Hoelder seminorm.  The kernel keeps the quotient scales, operator weights
-and energy weights once per lattice index offset and lays them out as row
-blocks on demand, so it holds O(N) numbers.  Where the node coordinates are
-exact in binary (power-of-two cell counts on [0, 1]) every per-offset entry
-is bitwise the one of each pair's own distance; elsewhere it moves by the
-rounding of the node differences, relative to h.  The row blocking moves no
-bit: every element sees the same operations in the same order and each row
-sum is taken over its whole row.  The energy reduces the pairs i < j in
-chunks of ``_BLOCK`` pairs, one dot product each, which moves its last bits
-once there are more pairs than one chunk.  The pair test margin takes its
-minimum block by block; a zero margin, whose sign would depend on the order
-the minimum sees, is returned as +0.0.  No pass outside the Newton Hessian
-holds pair-length data.  The kernel also applies the eigen descent's
-spectral preconditioner, the inverse spectral fractional Laplacian of the
-lattice, through one real FFT of an odd extension and a spectrum of O(N)
-numbers formed on first use.
+Hoelder seminorm.  The pair passes read the pairs i < j of their blocks.
+The kernel keeps the quotient scales, operator weights and energy weights
+once per lattice index offset and lays them out as row blocks on demand,
+so it holds O(N) numbers.  Where the node coordinates are exact in binary
+(power-of-two cell counts on [0, 1]) every per-offset entry is bitwise the
+one of each pair's own distance; elsewhere it moves by the rounding of the
+node differences, relative to h.  The operator and the Hessian's diagonal
+sum a node's pairs block by block, not over its whole row, which moves
+their last bits.  The energy reduces the pairs i < j in chunks of
+``_BLOCK`` pairs, one dot product each, which moves its last bits once
+there are more pairs than one chunk.  The pair test margin takes its
+minimum block by block; a zero margin, whose sign would depend on the
+order the minimum sees, is returned as +0.0.  No pass outside the Newton
+Hessian holds pair-length data.  The kernel also applies the eigen
+descent's spectral preconditioner, the inverse spectral fractional
+Laplacian of the lattice, through one real FFT of an odd extension and a
+spectrum of O(N) numbers formed on first use.
 
 The operator pass forms |q| once per block and hands it to
 ``YoungFunction.derivative`` directly; the energy calls ``evaluate`` on
@@ -120,12 +121,12 @@ class _Kernel:
     h**n d**(-n-s) and the energy weights ``wen_offsets`` = 2 h**(2n) d**(-n).
     Each table is read through one lattice view, built with the kernel,
     whose entry [i..., j...] is the table's value at the offset j - i.
-    ``qs_rows`` and ``wop_rows`` lay the first two out as dense row blocks,
-    ``upper_quotients`` and ``upper_weights`` give the pairs i < j of a row
-    block; the blocks are formed per call and never stored.  The exterior
-    keeps the ray scales d**(-s) and angular weights per node and ray.  On
-    lattices whose node coordinates are exact in binary every entry is
-    bitwise the one of the pair's own distance.
+    ``_offset_rows`` lays a table out as a row block from its first node's
+    column on, ``upper_quotients`` and ``upper_weights`` give the block's
+    pairs i < j; the blocks are formed per call and never stored.  The
+    exterior keeps the ray scales d**(-s) and angular weights per node and
+    ray.  On lattices whose node coordinates are exact in binary every
+    entry is bitwise the one of the pair's own distance.
     """
 
     def __init__(self, grid: Grid, params: OperatorParams):
@@ -198,35 +199,20 @@ class _Kernel:
         strides = tuple(-st for st in table.strides) + table.strides
         return as_strided(center, cells + cells, strides, writeable=False)
 
-    def _offset_rows(self, table: str, rows: slice, first: int = 0) -> np.ndarray:
-        """Rows i in rows, columns j >= first, of the dense N x N array whose
-        entry (i, j) is the named table's entry at the offset from node i to
-        node j: a slice of its lattice view in 1d; in 2d one gather of the
-        lattice rows of columns from the one holding node ``first`` on,
-        returned as a view from column ``first``."""
+    def _offset_rows(self, table: str, rows: slice) -> np.ndarray:
+        """Rows i in rows, columns j >= rows.start, of the dense N x N array
+        whose entry (i, j) is the named table's entry at the offset from node
+        i to node j: a slice of its lattice view in 1d; in 2d one gather of
+        the lattice rows of columns from the one holding node rows.start on,
+        returned as a view from that column."""
         view = self._views[table]
         start, stop, _ = rows.indices(self.grid.node_count)
         if self.grid.dim == 1:
-            return view[start:stop, first:]
+            return view[start:stop, start:]
         M2 = self.grid.cells[1]
-        lead, skip = divmod(first, M2)
+        lead, skip = divmod(start, M2)
         a, b = divmod(np.arange(start, stop), M2)
         return view[a, b, lead:].reshape(stop - start, -1)[:, skip:]
-
-    def qs_rows(self, rows: slice) -> np.ndarray:
-        """Quotient scales |x_i - x_j|**(-s) of the nodes i in rows against
-        every node j, zero on the diagonal, as an (r, N) array."""
-        return self._offset_rows("qs", rows)
-
-    def wop_rows(self, rows: slice) -> np.ndarray:
-        """Operator weights h**n |x_i - x_j|**(-n-s) of the nodes i in rows
-        against every node j, zero on the diagonal, as an (r, N) array."""
-        return self._offset_rows("wop", rows)
-
-    def quotients(self, v: np.ndarray, rows: slice) -> np.ndarray:
-        """Pair quotients (v_i - v_j) |x_i - x_j|**(-s) for the nodes i in
-        rows against every node j, zero on the diagonal."""
-        return (v[rows, None] - v[None, :]) * self.qs_rows(rows)
 
     def _upper(self, rows: slice) -> np.ndarray:
         """Mask of the pairs i < j in the rectangle rows x [rows.start, N):
@@ -242,9 +228,9 @@ class _Kernel:
         i < j with i in rows, in row-major order.  Chained over the blocks
         they run through all pairs i < j in row-major order: the pair
         order."""
-        for rows in _row_blocks(len(v), upper=True):
+        for rows in _row_blocks(len(v)):
             q = v[rows, None] - v[None, rows.start :]
-            q *= self._offset_rows("qs", rows, rows.start)
+            q *= self._offset_rows("qs", rows)
             # the block is freed before the caller works on its pairs
             q = q[self._upper(rows)]
             yield rows, q
@@ -253,7 +239,7 @@ class _Kernel:
         """Energy weights 2 h**(2n) |x_i - x_j|**(-n) of the pairs i < j with
         i in rows, in the order of the quotients ``upper_quotients`` yields
         for the same rows."""
-        return self._offset_rows("wen", rows, rows.start)[self._upper(rows)]
+        return self._offset_rows("wen", rows)[self._upper(rows)]
 
 
 # elements per block of a pair pass (256 KiB of float64): large enough to
@@ -269,12 +255,11 @@ def _row_step(N: int) -> int:
     return min(N, max(1, _BLOCK // N))
 
 
-def _row_blocks(N: int, upper: bool = False) -> list[slice]:
-    """Row slices of a pair pass over N nodes.  With ``upper`` the last row,
-    which has no pair i < j, is left out, so no block is empty."""
-    end = N - 1 if upper else N
+def _row_blocks(N: int) -> list[slice]:
+    """Row slices of a pair pass over the pairs i < j of N nodes.  The last
+    row, which has no such pair, is left out, so no block is empty."""
     step = _row_step(N)
-    return [slice(start, min(start + step, end)) for start in range(0, end, step)]
+    return [slice(start, min(start + step, N - 1)) for start in range(0, N - 1, step)]
 
 
 def _upper_mask(rows: int, cols: int) -> np.ndarray:
@@ -378,18 +363,23 @@ def _exterior_operator(u: np.ndarray, yf: YoungFunction, kern: _Kernel) -> np.nd
 
 
 def _operator_pass(v: np.ndarray, yf: YoungFunction, kern: _Kernel) -> np.ndarray:
-    """The operator at every node, its interior sums formed in row blocks."""
+    """The operator at every node: each pair i < j of a row block adds its
+    term, antisymmetric in (i, j), to row i and subtracts it from row j."""
     N = len(v)
-    interior = np.empty(N)
+    interior = np.zeros(N)
     for rows in _row_blocks(N):
-        q = kern.quotients(v, rows)
+        q = v[rows, None] - v[None, rows.start :]
+        q *= kern._offset_rows("qs", rows)
         aq = np.abs(q)
         gq = yf.derivative(aq)
         # |q| is spent: its buffer takes the signed terms
         terms = np.sign(q, out=aq)
         terms *= gq
-        terms *= kern.wop_rows(rows)
-        interior[rows] = np.sum(terms, axis=1)
+        terms *= kern._offset_rows("wop", rows)
+        # the block's entries j <= i are pairs of earlier rows or none
+        np.copyto(terms, 0.0, where=~kern._upper(rows))
+        interior[rows] += np.sum(terms, axis=1)
+        interior[rows.start :] -= np.sum(terms, axis=0)
     return interior + _exterior_operator(v, yf, kern)
 
 
@@ -470,28 +460,31 @@ def _energy_hessian(
     u: np.ndarray,
 ) -> np.ndarray:
     """Dense second derivative of the modular energy at u, formed in row
-    blocks.
+    blocks of the pairs i < j.
 
     Pair terms use secant density slopes, so a quotient parked on a density
     jump receives a huge curvature entry that pins it in Newton steps; the
-    exterior curvature is the exact derivative of G(x)/x.
+    exterior curvature is the exact derivative of G(x)/x.  A pair's
+    curvature C enters (i, j) and (j, i) as -C, (i, i) and (j, j) as C.
     """
     kern = get_kernel(grid, params)
     hn = grid.node_weight
     N = len(u)
-    H = np.empty((N, N))
+    H = np.zeros((N, N))
+    diag = np.zeros(N)
     for rows in _row_blocks(N):
-        qs = kern.qs_rows(rows)
-        wfull = hn * kern.wop_rows(rows) / np.where(qs > 0, qs, 1.0)
-        aq = np.abs((u[rows, None] - u[None, :]) * qs)
+        qs = kern._offset_rows("qs", rows)
+        wfull = hn * kern._offset_rows("wop", rows) / np.where(qs > 0, qs, 1.0)
+        aq = np.abs((u[rows, None] - u[None, rows.start :]) * qs)
         dq = 1e-7 * (1.0 + aq)
         gp = (yf.g(aq + dq) - yf.g(np.maximum(aq - dq, 0.0))) / (2.0 * dq)
         C = 2.0 * wfull * gp * qs**2
-        # diag(row sums of C) - C, one row block at a time
-        block = H[rows]
-        np.subtract(0.0, C, out=block)
-        own = np.arange(rows.stop - rows.start)
-        block[own, rows.start + own] = np.sum(C, axis=1) - C[own, rows.start + own]
+        np.copyto(C, 0.0, where=~kern._upper(rows))
+        # 0.0 - C, and less 0.0 where a block covers an entry twice: C's bits
+        H[rows, rows.start :] -= C
+        H[rows.start :, rows] -= C.T
+        diag[rows] += np.sum(C, axis=1)
+        diag[rows.start :] += np.sum(C, axis=0)
     x = np.abs(u)[:, None] * kern.ray_scale
     with np.errstate(divide="ignore", invalid="ignore"):
         safe = np.where(x > 0, x, 1.0)
@@ -499,7 +492,7 @@ def _energy_hessian(
     ext_diag = (2.0 * hn / params.s) * np.sum(
         kern.ray_w * kern.ray_scale**2 * hpp, axis=1
     )
-    H[np.diag_indices_from(H)] += ext_diag
+    H[np.diag_indices_from(H)] = diag + ext_diag
     return H
 
 
@@ -556,7 +549,7 @@ def holder_seminorm(u: DiscreteFunction, alpha: float) -> float:
     pts = grid.nodes
     N = grid.node_count
     tops = []
-    for rows in _row_blocks(N, upper=True):
+    for rows in _row_blocks(N):
         upper = _upper_mask(rows.stop - rows.start, N - rows.start)
         dv = (v[rows, None] - v[None, rows.start :])[upper]
         D = _distances(pts, rows, rows.start)[upper]

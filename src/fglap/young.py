@@ -153,9 +153,15 @@ class YoungFunction:
         return out
 
     def ratio(self, t):
-        """Elasticity t * g(t) / G(t) for t > 0."""
+        """Elasticity t * g(t) / G(t) for t > 0.  Where t * g(t) passes the
+        largest float but g(t) and G(t) do not, it is t * (g(t) / G(t))."""
         arr = np.abs(np.asarray(t, dtype=float))
-        return arr * self.g(arr) / self(arr)
+        g, G = self.g(arr), self(arr)
+        with np.errstate(over="ignore"):
+            tg = arr * g
+        over = np.isinf(tg) & np.isfinite(g) & np.isfinite(G)
+        quot = np.where(over, g, 0.0) / np.where(over, G, 1.0)
+        return np.where(over, np.where(over, arr, 0.0) * quot, tg / G)[()]
 
     @property
     def doubling_constant(self) -> float:

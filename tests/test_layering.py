@@ -30,9 +30,6 @@ _LATTICE = {
     "_lattice_view",
     "_views",
     "_offset_rows",
-    "qs_rows",
-    "wop_rows",
-    "quotients",
     "_upper",
     "upper_quotients",
     "upper_weights",
@@ -158,3 +155,22 @@ def test_no_vector_bisection_in_the_package():
         for m in sorted(_PACKAGE.glob("*.py"))
     }
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_no_full_row_pair_reader_in_the_package():
+    # the operator and the Newton Hessian read the pairs i < j that the
+    # energy reads; no module brings back the full-row readers that formed
+    # every pair twice
+    names = {"qs_rows", "wop_rows", "quotients"}
+    found = {}
+    for module in sorted(_PACKAGE.glob("*.py")):
+        tree = ast.parse(module.read_text())
+        defined = {
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        hits = (defined | _referenced_names(module)) & names
+        if hits:
+            found[module.name] = sorted(hits)
+    assert found == {}

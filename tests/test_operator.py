@@ -6,6 +6,7 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -529,7 +530,7 @@ def test_energy_of_one_chunk_is_bitwise_the_single_dot(families, family, bounds,
     kern = get_kernel(grid, params)
     N = grid.node_count
     assert N * (N - 1) // 2 <= _BLOCK
-    assert len(_row_blocks(N, upper=True)) > 1
+    assert len(_row_blocks(N)) > 1
     for got, want in _energies(grid, yf, kern, params, _reference_energy_scaled):
         assert got.hex() == want.hex()
 
@@ -546,7 +547,7 @@ def test_blocked_energy_is_bitwise_the_reference(families, family, bounds, cells
     # more than two row blocks of pairs, the last one ragged, and more
     # than two chunks of pairs, which do not end where row blocks end
     N = grid.node_count
-    blocks = _row_blocks(N, upper=True)
+    blocks = _row_blocks(N)
     assert len(blocks) > 2
     assert blocks[-1].stop - blocks[-1].start < blocks[0].stop - blocks[0].start
     assert N * (N - 1) // 2 > 2 * _BLOCK
@@ -590,6 +591,32 @@ def test_pair_passes_stay_within_block_memory(families):
         tracemalloc.stop()
     # no pass holds a pair-length vector
     assert all(peaks[name] < bound for name, (_, bound) in passes.items()), peaks
+
+
+def test_operator_pass_forms_each_pair_once(families):
+    # a pair's term is antisymmetric in (i, j), so the pass evaluates the
+    # density on the pairs i < j and on the triangle j <= i that each row
+    # block's rectangle also covers, not on N**2 quotients of full rows
+    yf = families["piecewise2_3"]
+    sizes = []
+
+    def density(t):
+        sizes.append(np.size(t))
+        return yf.derivative(t)
+
+    counted = replace(yf, derivative=density)
+    grid = Grid.build([0.0, 1.0], 2000)
+    kern = get_kernel(grid, OperatorParams(s=0.4))
+    v = np.random.default_rng(3).standard_normal(grid.node_count)
+    N = grid.node_count
+    blocks = _row_blocks(N)
+    assert len(blocks) > 2
+    try:
+        _operator_pass(v, counted, kern)
+    finally:
+        _HATS.pop(counted, None)
+    triangles = sum((b.stop - b.start) * (b.stop - b.start + 1) // 2 for b in blocks)
+    assert sum(sizes) <= N * (N - 1) // 2 + triangles
 
 
 def test_passes_stay_within_block_memory_at_2d_32(families):
@@ -701,16 +728,19 @@ def _accessor_blocks(grid):
 def _assert_kernel_arrays(kern, qs, wop, wen):
     N = kern.grid.node_count
     for rows in _accessor_blocks(kern.grid):
-        got = kern.qs_rows(rows)
-        assert got.shape == (rows.stop - rows.start, N)
-        assert np.ascontiguousarray(got).tobytes() == qs[rows].tobytes()
-        assert np.ascontiguousarray(kern.wop_rows(rows)).tobytes() == wop[rows].tobytes()
+        # the rows against the columns from the block's first node on
+        upper_block = (rows, slice(rows.start, None))
+        got = kern._offset_rows("qs", rows)
+        assert got.shape == (rows.stop - rows.start, N - rows.start)
+        assert np.ascontiguousarray(got).tobytes() == qs[upper_block].tobytes()
+        got = kern._offset_rows("wop", rows)
+        assert np.ascontiguousarray(got).tobytes() == wop[upper_block].tobytes()
         # the pairs i < j of the block, in row-major order
         upper = np.arange(N - rows.start)[None, :] > np.arange(rows.stop - rows.start)[:, None]
-        want = wen[rows, rows.start :][upper]
+        want = wen[upper_block][upper]
         assert kern.upper_weights(rows).tobytes() == want.tobytes()
     # chained over the pair passes' blocks, the weights run in pair order
-    blocks = _row_blocks(N, upper=True)
+    blocks = _row_blocks(N)
     chained = np.concatenate([kern.upper_weights(rows) for rows in blocks])
     assert chained.tobytes() == wen[np.triu_indices(N, k=1)].tobytes()
 
@@ -862,7 +892,7 @@ def test_pair_samples_are_bitwise_the_triu_form(bounds, cells):
     # the pair quotients the test margin reduces, and the energy's weights
     chained = np.concatenate([np.abs(q) for _, q in kern.upper_quotients(v)])
     assert chained.tobytes() == ref.tobytes()
-    blocks = _row_blocks(grid.node_count, upper=True)
+    blocks = _row_blocks(grid.node_count)
     weights = np.concatenate([kern.upper_weights(rows) for rows in blocks])
     assert weights.tobytes() == dense_energy_weights(kern)[i0, i1].tobytes()
 

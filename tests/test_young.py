@@ -181,7 +181,8 @@ def knot_inputs():
     u = _bump(grid)
     u /= _modular_scale(u, grid.node_weight, make_piecewise_power(2.0, 3.0), 0.4)
     kern = get_kernel(grid, OperatorParams(s=0.4))
-    block = np.abs(kern.quotients(u, _row_blocks(grid.node_count)[0]))
+    rows = _row_blocks(grid.node_count)[0]
+    block = np.abs((u[rows, None] - u[None, rows.start :]) * kern._offset_rows("qs", rows))
     # the block holds quotients on both sides of the knot
     assert 0 < np.count_nonzero(block > 1.0) < block.size // 2
     return [np.array(x) for x in points] + [flat, flat.reshape(2, 4), block]
@@ -619,6 +620,25 @@ def test_sobolev_conjugate_density_where_it_overflows(families, embedding, gstar
     ok = _normal(G) & np.isfinite(slope)
     assert ok.sum() > 200
     np.testing.assert_allclose(got[ok], slope[ok], rtol=1e-7, atol=0.0)
+
+
+def test_elasticity_where_t_times_density_overflows(gstars):
+    # summix's G* at (0.5, 2) is a power law past its last knot, t = 1e6, so
+    # its elasticity is constant there, also at t = 6.31e26, where t g*(t)
+    # passes the largest float though G*(t) and g*(t) do not
+    gstar = gstars["summix"]
+    t = np.array([1e6, 1e20, 6.31e26])
+    with np.errstate(over="ignore"):
+        assert np.isinf(t[2] * gstar.g(t[2])) and np.isfinite(gstar(t[2]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gstar.ratio(t)
+        at_point = gstar.ratio(t[2])
+        plain = t[:2] * gstar.g(t[:2]) / gstar(t[:2])
+    assert at_point == got[2] == pytest.approx(11.998, abs=1e-3)
+    np.testing.assert_allclose(got, got[0], rtol=1e-12, atol=0.0)
+    # where t g*(t) is a float, the ratio keeps the bits of t g*(t) / G*(t)
+    assert got[:2].tobytes() == plain.tobytes()
 
 
 _CLOSED_FORM_CASES = [
